@@ -5,107 +5,13 @@ values perturbs its predictions (a variance-ratio sensitivity), optionally
 distill that score into a fast surrogate net, then beam-search feature-value
 assignments that push the predicted probabilities where you want them.
 Exact enumeration and a sequential-greedy baseline are included for
-verification.
+verification. Everything else lives in the submodules (`sensopt.nn`,
+`sensopt.search`, ...).
 """
 
-from .baseline import (
-    BaselineResult,
-    BaselineStage,
-    brute_force,
-    enumerate_assignments,
-    enumeration_size,
-    exhaustive_gamma_by_depth,
-    sequential_dp,
-)
-from .data import (
-    Dataset,
-    FeatureKind,
-    FeatureMeta,
-    GroundTruth,
-    Scaler,
-    SyntheticSpec,
-    fit_scaler,
-    format_value,
-    generate_synthetic,
-    imbalance_report,
-    load_csv,
-    quantile_domain,
-    save_csv,
-    save_ground_truth,
-    split,
-)
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    DataError,
-    DegenerateReferenceError,
-    DomainError,
-    ShapeError,
-    TrainingDivergedError,
-)
-from .nn import (
-    Activation,
-    Layer,
-    LayerSpec,
-    LossKind,
-    MLPModel,
-    ModelKind,
-    TrainConfig,
-    TrainReport,
-    bce_loss,
-    build_model,
-    forward,
-    grad_check,
-    load_model,
-    loss_gradients,
-    mse_loss,
-    save_model,
-    train,
-)
-from .search import (
-    Candidate,
-    Direction,
-    FeatureEffect,
-    Objective,
-    Scorer,
-    SearchConfig,
-    SearchTrace,
-    SensitivityMode,
-    StageRecord,
-    expand,
-    format_assignment,
-    gamma_from,
-    lambda_of,
-    prune,
-    run_search,
-    score_candidate,
-    top_feature_report,
-    write_trace_csv,
-)
-from .sensitivity import (
-    FeatureAssignment,
-    ReferenceSet,
-    ReferenceSource,
-    SensitivityScore,
-    clone_and_fix,
-    mean_sensitivity_over_values,
-    reference_predictions,
-    sensitivity_from_predictions,
-    sensitivity_score,
-    validate_assignment,
-)
-from .surrogate import (
-    AssignmentEncoding,
-    DistillationSet,
-    build_distillation_set,
-    encode,
-    evaluate_surrogate,
-    load_surrogate,
-    predict_sensitivity,
-    r_squared,
-    save_surrogate,
-    split_holdout,
-    train_surrogate,
-)
+from .baseline import brute_force
+from .data import SyntheticSpec, generate_synthetic, save_csv, save_ground_truth
+from .search import Direction, Objective, SearchConfig, run_search
+from .sensitivity import ReferenceSet
 
 __version__ = "0.1.0"

@@ -106,29 +106,23 @@ def brute_force(M: MLPModel, T: ReferenceSet, value_domains,
     if size > budget:
         raise BudgetExceededError(size, budget)
 
-    best_assignment = None
-    best_value = None
-    trace = []
     evaluations = 0
+    unset = (None, None, None)
     stage_best = {}  # arity -> (value, key, assignment)
     for a in enumerate_assignments(domains, max_arity):
         value = objective.collapse(lambda_of(M, T, a))
         evaluations += 1
-        arity = len(a)
-        prev = stage_best.get(arity)
-        if _improves(value, a.key, prev[0] if prev else None,
-                     prev[1] if prev else None, objective.direction):
-            stage_best[arity] = (value, a.key, a)
-        if _improves(value, a.key,
-                     best_value,
-                     best_assignment.key if best_assignment else None,
-                     objective.direction):
-            best_value, best_assignment = value, a
-    for arity in sorted(stage_best):
-        value, _, a = stage_best[arity]
-        trace.append(BaselineStage(arity, a, value))
-    return BaselineResult("brute_force", best_assignment, best_value,
-                          evaluations, trace)
+        prev = stage_best.get(len(a), unset)
+        if _improves(value, a.key, prev[0], prev[1], objective.direction):
+            stage_best[len(a)] = (value, a.key, a)
+    # Same (value, key) order, so the best per-arity best is the overall best.
+    best = unset
+    for cand in stage_best.values():
+        if _improves(cand[0], cand[1], best[0], best[1], objective.direction):
+            best = cand
+    trace = [BaselineStage(arity, stage_best[arity][2], stage_best[arity][0])
+             for arity in sorted(stage_best)]
+    return BaselineResult("brute_force", best[2], best[0], evaluations, trace)
 
 
 def sequential_dp(M: MLPModel, T: ReferenceSet, value_domains,

@@ -12,10 +12,12 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +48,12 @@ from .search import (
     SearchConfig,
     SensitivityMode,
     format_assignment,
+    gamma_per_label,
     run_search,
     top_feature_report,
     write_trace_csv,
 )
-from .sensitivity import ReferenceSet, ReferenceSource
+from .sensitivity import ReferenceSet
 from .surrogate import (
     build_distillation_set,
     evaluate_surrogate,
@@ -80,7 +83,8 @@ DEFAULT_SWEEP_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 DEFAULTS = {
     "seed": 0,
     "out_dir": "out",
-    "data": {"test_fraction": 0.1, "stratify": False},
+    "data": {"csv": None, "labels": None, "test_fraction": 0.1,
+             "stratify": False},
     "model": {"hidden_dims": [64], "learning_rate": 0.05, "epochs": 300,
               "batch_size": 16},
     "surrogate": {"hidden_dims": [64, 32], "learning_rate": 0.05, "epochs": 300,
@@ -90,6 +94,23 @@ DEFAULTS = {
                "direction": "minimize", "label_subset": None, "top_k": 10},
     "baseline": {"budget": 10**6, "max_arity": None},
     "sweep": {"grid": DEFAULT_SWEEP_GRID},
+}
+
+# Element type of every numeric field, "section.key" or a top-level key;
+# list-valued fields convert each element. Fields whose default is None
+# also accept null.
+NUMERIC_FIELDS = {
+    "seed": int, "data.test_fraction": float,
+    "model.hidden_dims": [int], "model.learning_rate": float,
+    "model.epochs": int, "model.batch_size": int,
+    "surrogate.hidden_dims": [int], "surrogate.learning_rate": float,
+    "surrogate.epochs": int, "surrogate.batch_size": int,
+    "surrogate.n_samples": int, "surrogate.max_arity": int,
+    "surrogate.holdout_fraction": float,
+    "search.omega": float, "search.zeta": int, "search.max_depth": int,
+    "search.label_subset": [int], "search.top_k": int,
+    "baseline.budget": int, "baseline.max_arity": int,
+    "sweep.grid": [float],
 }
 
 
@@ -119,7 +140,8 @@ def load_config(path, overrides: dict | None = None) -> dict:
         raise ConfigError(f"{p}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be an object")
-    cfg = _merge(DEFAULTS, raw)
+    _check_known_keys(raw)
+    cfg = _merge(copy.deepcopy(DEFAULTS), raw)
     if overrides:
         cfg = _merge(cfg, overrides)
     cfg["_base_dir"] = str(p.parent)
@@ -127,20 +149,54 @@ def load_config(path, overrides: dict | None = None) -> dict:
     return cfg
 
 
+def _check_known_keys(raw: dict):
+    for name, value in raw.items():
+        if name not in DEFAULTS:
+            raise ConfigError(f"unknown config key {name!r}")
+        if isinstance(DEFAULTS[name], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be an object")
+            for key in value:
+                if key not in DEFAULTS[name]:
+                    raise ConfigError(f"unknown config key '{name}.{key}'")
+
+
+def _convert_numeric(cfg: dict):
+    """Convert every numeric field in place, naming the first bad one."""
+    for path, kind in NUMERIC_FIELDS.items():
+        section, _, key = path.rpartition(".")
+        owner = cfg[section] if section else cfg
+        default = DEFAULTS[section][key] if section else DEFAULTS[key]
+        value = owner[key]
+        if value is None and default is None:
+            continue
+        try:
+            if isinstance(kind, list):
+                if not isinstance(value, list):
+                    raise TypeError
+                owner[key] = [kind[0](v) for v in value]
+            else:
+                owner[key] = kind(value)
+        except (TypeError, ValueError):
+            expected = "a list of numbers" if isinstance(kind, list) else "a number"
+            raise ConfigError(f"{path} must be {expected}, got {value!r}") from None
+
+
 def validate_config(cfg: dict):
-    data = cfg.get("data", {})
-    if "csv" not in data:
+    _convert_numeric(cfg)
+    data = cfg["data"]
+    if data["csv"] is None:
         raise ConfigError("config requires data.csv")
-    labels = data.get("labels")
+    labels = data["labels"]
     if not labels or not isinstance(labels, list):
         raise ConfigError("config requires data.labels, a non-empty list")
     csv_path = _data_path(cfg)
     if not csv_path.exists():
         raise ConfigError(f"data.csv does not exist: {csv_path}")
     omega = cfg["search"]["omega"]
-    if not 0.0 <= float(omega) <= 1.0:
+    if not 0.0 <= omega <= 1.0:
         raise ConfigError(f"search.omega must be in [0,1], got {omega}")
-    if int(cfg["search"]["zeta"]) < 1:
+    if cfg["search"]["zeta"] < 1:
         raise ConfigError(f"search.zeta must be >= 1, got {cfg['search']['zeta']}")
     if cfg["search"]["mode"] not in ("oracle", "surrogate"):
         raise ConfigError(f"search.mode must be oracle or surrogate")
@@ -184,27 +240,27 @@ def write_json(path: Path, obj: dict):
 def prepare_data(cfg: dict):
     """Load, split, and scale; everything downstream sees model-space data.
 
-    Returns (train_scaled, test_scaled, scaler, train_idx, test_idx)."""
+    Returns (train_scaled, test_scaled, train_idx, test_idx)."""
     dataset = load_csv(_data_path(cfg), cfg["data"]["labels"])
     train_set, test_set, train_idx, test_idx = split(
         dataset,
-        test_fraction=float(cfg["data"]["test_fraction"]),
-        seed=derive_seed(int(cfg["seed"]), "split"),
+        test_fraction=cfg["data"]["test_fraction"],
+        seed=derive_seed(cfg["seed"], "split"),
         stratify=bool(cfg["data"]["stratify"]),
     )
     scaler = fit_scaler(train_set)
-    return (scaler.transform(train_set), scaler.transform(test_set), scaler,
+    return (scaler.transform(train_set), scaler.transform(test_set),
             train_idx, test_idx)
 
 
 def _train_config(section: dict, loss: LossKind, seed: int) -> TrainConfig:
     return TrainConfig(
-        learning_rate=float(section["learning_rate"]),
-        epochs=int(section["epochs"]),
-        batch_size=int(section["batch_size"]),
+        learning_rate=section["learning_rate"],
+        epochs=section["epochs"],
+        batch_size=section["batch_size"],
         seed=seed,
         loss=loss,
-        hidden_dims=[int(d) for d in section["hidden_dims"]],
+        hidden_dims=section["hidden_dims"],
     )
 
 
@@ -222,9 +278,9 @@ def _search_config(cfg: dict, reference: ReferenceSet) -> SearchConfig:
             else SensitivityMode.SURROGATE)
     sc = SearchConfig(
         value_domains=reference.domains,
-        omega=float(section["omega"]),
-        zeta=int(section["zeta"]),
-        max_depth=None if section["max_depth"] is None else int(section["max_depth"]),
+        omega=section["omega"],
+        zeta=section["zeta"],
+        max_depth=section["max_depth"],
         sensitivity_mode=mode,
     )
     sc.validate(reference.n_features)
@@ -243,8 +299,8 @@ def _accuracy(probabilities: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def cmd_train(cfg: dict) -> int:
-    train_set, test_set, _, train_idx, test_idx = prepare_data(cfg)
-    seed = int(cfg["seed"])
+    train_set, test_set, train_idx, test_idx = prepare_data(cfg)
+    seed = cfg["seed"]
     model = build_model(train_set.n_features, train_set.n_labels,
                         ModelKind.CLASSIFIER, cfg["model"]["hidden_dims"],
                         seed=derive_seed(seed, "init-classifier"))
@@ -272,7 +328,7 @@ def cmd_train(cfg: dict) -> int:
     })
     write_json(out / SPLIT_MANIFEST_FILE, {
         "seed": seed,
-        "test_fraction": float(cfg["data"]["test_fraction"]),
+        "test_fraction": cfg["data"]["test_fraction"],
         "train_rows": [int(i) for i in train_idx],
         "test_rows": [int(i) for i in test_idx],
     })
@@ -280,19 +336,19 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_distill(cfg: dict) -> int:
-    train_set, _, _, _, _ = prepare_data(cfg)
-    model, _ = load_model(_artifact_path(cfg, MODEL_FILE))
-    reference = ReferenceSet.from_dataset(train_set, ReferenceSource.TRAIN_SPLIT)
-    seed = int(cfg["seed"])
+    train_set, _, _, _ = prepare_data(cfg)
+    model = _load_model(cfg, train_set)
+    reference = ReferenceSet.from_dataset(train_set)
+    seed = cfg["seed"]
     section = cfg["surrogate"]
 
     dset = build_distillation_set(
         model, reference,
-        n_samples=int(section["n_samples"]),
-        max_arity=None if section["max_arity"] is None else int(section["max_arity"]),
+        n_samples=section["n_samples"],
+        max_arity=section["max_arity"],
         seed=derive_seed(seed, "distill-sample"),
     )
-    head, tail = split_holdout(dset, float(section["holdout_fraction"]))
+    head, tail = split_holdout(dset, section["holdout_fraction"])
     tc = _train_config(section, LossKind.MSE, derive_seed(seed, "train-surrogate"))
     surrogate, report = train_surrogate(head, tc)
 
@@ -309,26 +365,31 @@ def cmd_distill(cfg: dict) -> int:
     return 0
 
 
+def _load_model(cfg: dict, train_set):
+    """The trained classifier, refused if it was trained on other columns."""
+    model, meta = load_model(_artifact_path(cfg, MODEL_FILE))
+    features = [f.name for f in train_set.features]
+    trained = (meta.get("feature_names"), meta.get("label_names"))
+    if trained != (features, train_set.label_names):
+        raise DataError(
+            f"{MODEL_FILE} was trained on features {trained[0]} and labels "
+            f"{trained[1]}, but the data gives features {features} and "
+            f"labels {train_set.label_names} (rerun train)")
+    return model
+
+
 def _load_search_inputs(cfg: dict):
-    train_set, _, scaler, _, _ = prepare_data(cfg)
-    model, model_meta = load_model(_artifact_path(cfg, MODEL_FILE))
-    reference = ReferenceSet.from_dataset(train_set, ReferenceSource.TRAIN_SPLIT)
+    train_set, _, _, _ = prepare_data(cfg)
+    model = _load_model(cfg, train_set)
+    reference = ReferenceSet.from_dataset(train_set)
     surrogate = None
     if cfg["search"]["mode"] == "surrogate":
         surrogate, _ = load_surrogate(_artifact_path(cfg, SURROGATE_FILE))
-    feature_names = model_meta.get("feature_names") or [
-        f.name for f in train_set.features
-    ]
-    return train_set, scaler, model, reference, surrogate, feature_names
+    feature_names = [f.name for f in train_set.features]
+    return train_set, model, reference, surrogate, feature_names
 
 
 def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
-    if objective.direction is Direction.MINIMIZE_LABELS:
-        gamma_per_label = omega * (1.0 - c.lambda_per_label) \
-            + (1.0 - omega) * c.upsilon_per_label
-    else:
-        gamma_per_label = omega * c.lambda_per_label \
-            + (1.0 - omega) * c.upsilon_per_label
     display = [
         f"{features[j].name}={format_value(features[j], v)}"
         for j, v in sorted(c.assignment.pairs)
@@ -337,7 +398,9 @@ def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
         "assignment": [[int(j), float(v)] for j, v in sorted(c.assignment.pairs)],
         "assignment_text": ";".join(display),
         "gamma": float(c.gamma),
-        "gamma_per_label": gamma_per_label,
+        "gamma_per_label": gamma_per_label(c.lambda_per_label,
+                                           c.upsilon_per_label, omega,
+                                           objective),
         "lambda_per_label": c.lambda_per_label,
         "upsilon_per_label": c.upsilon_per_label,
         "mean_lambda": c.mean_lambda(objective),
@@ -345,7 +408,7 @@ def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
 
 
 def cmd_optimize(cfg: dict) -> int:
-    train_set, scaler, model, reference, surrogate, feature_names = \
+    train_set, model, reference, surrogate, feature_names = \
         _load_search_inputs(cfg)
     sc = _search_config(cfg, reference)
     objective = _objective(cfg)
@@ -368,7 +431,7 @@ def cmd_optimize(cfg: dict) -> int:
     })
 
     effects = top_feature_report(model, reference, sc, objective,
-                                 k=int(cfg["search"]["top_k"]),
+                                 k=cfg["search"]["top_k"],
                                  surrogate=surrogate)
     with (out / TOP_FEATURES_FILE).open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
@@ -394,27 +457,28 @@ def _baseline_rows(result: BaselineResult, feature_names) -> list:
     return rows
 
 
+def _baseline_doc(result: BaselineResult, feature_names) -> dict:
+    return {
+        "best_assignment": [[int(j), float(v)] for j, v in result.best_assignment],
+        "best_assignment_text": format_assignment(result.best_assignment,
+                                                  feature_names),
+        "best_mean_lambda": result.best_objective,
+        "evaluations": result.evaluations,
+    }
+
+
 def cmd_baseline(cfg: dict) -> int:
-    train_set, scaler, model, reference, _, feature_names = \
-        _load_search_inputs(cfg)
+    _, model, reference, _, feature_names = _load_search_inputs(cfg)
     objective = _objective(cfg)
     section = cfg["baseline"]
-    budget = int(section["budget"])
-    max_arity = section["max_arity"]
-    max_arity = reference.n_features if max_arity is None else int(max_arity)
 
     report: dict = {}
     rows = []
     try:
         brute = brute_force(model, reference, reference.domains, objective,
-                            max_arity=max_arity, budget=budget)
-        report["brute_force"] = {
-            "best_assignment": [[int(j), float(v)] for j, v in brute.best_assignment],
-            "best_assignment_text": format_assignment(brute.best_assignment,
-                                                      feature_names),
-            "best_mean_lambda": brute.best_objective,
-            "evaluations": brute.evaluations,
-        }
+                            max_arity=section["max_arity"],
+                            budget=section["budget"])
+        report["brute_force"] = _baseline_doc(brute, feature_names)
         rows += _baseline_rows(brute, feature_names)
     except BudgetExceededError as e:
         report["brute_force"] = {
@@ -424,13 +488,7 @@ def cmd_baseline(cfg: dict) -> int:
         }
 
     seq = sequential_dp(model, reference, reference.domains, objective)
-    report["sequential"] = {
-        "best_assignment": [[int(j), float(v)] for j, v in seq.best_assignment],
-        "best_assignment_text": format_assignment(seq.best_assignment,
-                                                  feature_names),
-        "best_mean_lambda": seq.best_objective,
-        "evaluations": seq.evaluations,
-    }
+    report["sequential"] = _baseline_doc(seq, feature_names)
     rows += _baseline_rows(seq, feature_names)
 
     out = _out_dir(cfg)
@@ -463,16 +521,13 @@ def cmd_compare(cfg: dict) -> int:
     better = (lambda a, b: a < b) if direction == "minimize" else (lambda a, b: a > b)
 
     merged: dict = {}  # (stage, method) -> mean_lambda string
-    for row in _read_trace(out / TRACE_FILE):
-        key = (int(row["stage"]), "beam")
-        value = row["mean_lambda"]
-        if key not in merged or better(float(value), float(merged[key])):
-            merged[key] = value
-    for row in _read_trace(out / BASELINE_TRACE_FILE):
-        key = (int(row["stage"]), row["method"])
-        value = row["mean_lambda"]
-        if key not in merged or better(float(value), float(merged[key])):
-            merged[key] = value
+    for name in (TRACE_FILE, BASELINE_TRACE_FILE):
+        for row in _read_trace(out / name):
+            # trace.csv has no method column: its rows are the beam's.
+            key = (int(row["stage"]), row.get("method", "beam"))
+            value = row["mean_lambda"]
+            if key not in merged or better(float(value), float(merged[key])):
+                merged[key] = value
 
     with (out / COMPARE_FILE).open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
@@ -483,12 +538,10 @@ def cmd_compare(cfg: dict) -> int:
     return 0
 
 
-def cmd_sweep_omega(cfg: dict, grid=None) -> int:
-    train_set, scaler, model, reference, surrogate, feature_names = \
-        _load_search_inputs(cfg)
+def cmd_sweep_omega(cfg: dict) -> int:
+    _, model, reference, surrogate, feature_names = _load_search_inputs(cfg)
     objective = _objective(cfg)
-    if grid is None:
-        grid = cfg["sweep"]["grid"]
+    sc = _search_config(cfg, reference)
     direction_best = min if objective.direction is Direction.MINIMIZE_LABELS else max
 
     out = _out_dir(cfg)
@@ -496,15 +549,12 @@ def cmd_sweep_omega(cfg: dict, grid=None) -> int:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
         writer.writerow(["omega", "best_mean_lambda", "best_gamma", "assignment"])
-        for omega in grid:
-            sc = _search_config(cfg, reference)
-            sc.omega = float(omega)
-            sc.validate(reference.n_features)
-            sn, _ = run_search(model, reference, sc, objective,
-                               surrogate=surrogate)
+        for omega in cfg["sweep"]["grid"]:
+            sn, _ = run_search(model, reference, replace(sc, omega=omega),
+                               objective, surrogate=surrogate)
             by_lambda = direction_best(sn, key=lambda c: c.mean_lambda(objective))
             writer.writerow([
-                repr(float(omega)),
+                repr(omega),
                 repr(by_lambda.mean_lambda(objective)),
                 repr(sn[0].gamma),
                 format_assignment(by_lambda.assignment, feature_names),

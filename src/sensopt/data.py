@@ -282,9 +282,6 @@ class Scaler:
         ]
         return Dataset(X, dataset.Y.copy(), metas, dataset.label_names)
 
-    def inverse_value(self, j: int, scaled: float) -> float:
-        return float(self.mins[j] + scaled * (self.maxs[j] - self.mins[j]))
-
 
 def fit_scaler(train: Dataset) -> Scaler:
     mins = train.X.min(axis=0)
@@ -430,8 +427,3 @@ def save_ground_truth(truth: GroundTruth, path):
     doc = {"schema_version": 1, **truth.to_doc()}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-def imbalance_report(dataset: Dataset) -> np.ndarray:
-    """Per-label positive fraction."""
-    return dataset.Y.mean(axis=0)

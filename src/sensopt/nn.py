@@ -124,7 +124,6 @@ class TrainConfig:
     seed: int = 0
     loss: LossKind = LossKind.BCE
     hidden_dims: list[int] = field(default_factory=lambda: [64])
-    pos_weight: list[float] | None = None  # optional per-label positive-class weight
 
     def validate(self):
         # learning_rate 0 is allowed: "train is a no-op" is a tested contract.
@@ -215,7 +214,7 @@ def forward(model: MLPModel, inputs) -> np.ndarray:
     return out
 
 
-def bce_loss(predictions, targets, pos_weight=None) -> float:
+def bce_loss(predictions, targets) -> float:
     """Mean binary cross-entropy over all elements, clamped for finiteness."""
     p = check_matrix(predictions, "predictions")
     y = check_matrix(targets, "targets")
@@ -223,10 +222,7 @@ def bce_loss(predictions, targets, pos_weight=None) -> float:
         raise ShapeError(f"shape mismatch: {p.shape} vs {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("bce targets must be binary (0 or 1)")
-    pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    w = 1.0 if pos_weight is None else np.asarray(pos_weight, dtype=np.float64)
-    terms = w * y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)
-    return float(-np.mean(terms))
+    return _raw_loss(p, y, LossKind.BCE)
 
 
 def mse_loss(predictions, targets) -> float:
@@ -235,45 +231,32 @@ def mse_loss(predictions, targets) -> float:
     y = check_matrix(targets, "targets")
     if p.shape != y.shape:
         raise ShapeError(f"shape mismatch: {p.shape} vs {y.shape}")
-    d = p - y
-    return float(np.mean(d * d))
+    return _raw_loss(p, y, LossKind.MSE)
 
 
-def _loss_value(P, Y, loss: LossKind, pos_weight=None) -> float:
-    if loss is LossKind.BCE:
-        return bce_loss(P, Y, pos_weight)
-    return mse_loss(P, Y)
-
-
-def _raw_loss(P, Y, loss: LossKind, pos_weight=None) -> float:
+def _raw_loss(P, Y, loss: LossKind) -> float:
     """Loss without finiteness validation; a diverged run must yield a
     non-finite number here rather than a shape/value error."""
     if loss is LossKind.BCE:
         pc = np.clip(P, BCE_EPS, 1.0 - BCE_EPS)
-        w = 1.0 if pos_weight is None else np.asarray(pos_weight, dtype=np.float64)
-        terms = w * Y * np.log(pc) + (1.0 - Y) * np.log(1.0 - pc)
+        terms = Y * np.log(pc) + (1.0 - Y) * np.log(1.0 - pc)
         return float(-np.mean(terms))
     d = P - Y
     return float(np.mean(d * d))
 
 
-def _backward(model: MLPModel, X, Y, loss: LossKind, pos_weight=None):
+def _backward(model: MLPModel, X, Y, loss: LossKind):
     """One forward/backward sweep; returns (loss value, per-layer grads)."""
     zs, acts = _forward_pass(model, X)
     P = acts[-1]
-    value = _raw_loss(P, Y, loss, pos_weight)
+    value = _raw_loss(P, Y, loss)
     n_elem = P.size
 
     if loss is LossKind.BCE:
         if model.layers[-1].activation is not Activation.SIGMOID:
             raise ConfigError("bce loss requires a sigmoid output layer")
-        # d(loss)/dz for sigmoid+BCE collapses to (p - y) / N; with a positive
-        # class weight w it becomes ((1-y) p - w y (1-p)) / N.
-        if pos_weight is None:
-            delta = (P - Y) / n_elem
-        else:
-            w = np.asarray(pos_weight, dtype=np.float64)
-            delta = ((1.0 - Y) * P - w * Y * (1.0 - P)) / n_elem
+        # d(loss)/dz for sigmoid+BCE collapses to (p - y) / N.
+        delta = (P - Y) / n_elem
     else:
         dP = 2.0 * (P - Y) / n_elem
         delta = dP * _activation_grad(zs[-1], P, model.layers[-1].activation)
@@ -289,7 +272,7 @@ def _backward(model: MLPModel, X, Y, loss: LossKind, pos_weight=None):
     return value, grads
 
 
-def loss_gradients(model: MLPModel, X, Y, loss: LossKind | None = None, pos_weight=None):
+def loss_gradients(model: MLPModel, X, Y, loss: LossKind | None = None):
     """Analytic gradients of the loss w.r.t. every weight and bias.
 
     Returns a list of (dW, db) pairs, one per layer. The loss defaults to
@@ -303,7 +286,7 @@ def loss_gradients(model: MLPModel, X, Y, loss: LossKind | None = None, pos_weig
         loss = LossKind.BCE if model.kind is ModelKind.CLASSIFIER else LossKind.MSE
     if not model.layers:
         return []
-    _, grads = _backward(model, X, Y, loss, pos_weight)
+    _, grads = _backward(model, X, Y, loss)
     return grads
 
 
@@ -342,8 +325,7 @@ def train(model: MLPModel, X, Y, cfg: TrainConfig):
         for start in range(0, m, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             with np.errstate(all="ignore"):
-                value, grads = _backward(model, X[idx], Y[idx], cfg.loss,
-                                         cfg.pos_weight)
+                value, grads = _backward(model, X[idx], Y[idx], cfg.loss)
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch, value)
             total += value * len(idx)
@@ -371,9 +353,9 @@ def grad_check(model: MLPModel, X, Y, step: float = 1e-5, analytic=None) -> floa
     Y = check_matrix(Y, "Y")
     if not model.layers:
         return 0.0
-    loss = LossKind.BCE if model.kind is ModelKind.CLASSIFIER else LossKind.MSE
+    loss_fn = bce_loss if model.kind is ModelKind.CLASSIFIER else mse_loss
     if analytic is None:
-        analytic = loss_gradients(model, X, Y, loss)
+        analytic = loss_gradients(model, X, Y)
 
     worst = 0.0
     for layer, (dW, db) in zip(model.layers, analytic):
@@ -383,9 +365,9 @@ def grad_check(model: MLPModel, X, Y, step: float = 1e-5, analytic=None) -> floa
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                hi = _loss_value(forward(model, X), Y, loss)
+                hi = loss_fn(forward(model, X), Y)
                 flat[i] = orig - step
-                lo = _loss_value(forward(model, X), Y, loss)
+                lo = loss_fn(forward(model, X), Y)
                 flat[i] = orig
                 numeric = (hi - lo) / (2.0 * step)
                 ga = gflat[i]

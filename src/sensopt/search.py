@@ -24,7 +24,6 @@ from .sensitivity import (
     FeatureAssignment,
     ReferenceSet,
     clone_and_fix,
-    reference_predictions,
     sensitivity_from_predictions,
 )
 from .surrogate import predict_sensitivity
@@ -114,18 +113,25 @@ class Candidate:
         return objective.collapse(self.lambda_per_label)
 
 
-def gamma_from(lambda_per_label: np.ndarray, upsilon_per_label: np.ndarray,
-               omega: float, objective: Objective) -> float:
-    """Collapse per-label scores into the scalar selection score."""
+def gamma_per_label(lambda_per_label: np.ndarray,
+                    upsilon_per_label: np.ndarray, omega: float,
+                    objective: Objective) -> np.ndarray:
+    """Per-label blend of lambda (or 1 - lambda) and upsilon."""
     lam = np.asarray(lambda_per_label, dtype=np.float64)
     ups = np.asarray(upsilon_per_label, dtype=np.float64)
     if lam.shape != ups.shape:
         raise ShapeError(f"lambda shape {lam.shape} != upsilon shape {ups.shape}")
     if objective.direction is Direction.MINIMIZE_LABELS:
-        per_label = omega * (1.0 - lam) + (1.0 - omega) * ups
-    else:
-        per_label = omega * lam + (1.0 - omega) * ups
-    return objective.collapse(per_label)
+        return omega * (1.0 - lam) + (1.0 - omega) * ups
+    return omega * lam + (1.0 - omega) * ups
+
+
+def gamma_from(lambda_per_label: np.ndarray, upsilon_per_label: np.ndarray,
+               omega: float, objective: Objective) -> float:
+    """Collapse per-label scores into the scalar selection score."""
+    return objective.collapse(gamma_per_label(lambda_per_label,
+                                              upsilon_per_label, omega,
+                                              objective))
 
 
 def lambda_of(M: MLPModel, T: ReferenceSet, a: FeatureAssignment) -> np.ndarray:
@@ -159,7 +165,7 @@ class Scorer:
                     f"match {self.reference.n_features} features"
                 )
         if self.ref_predictions is None:
-            self.ref_predictions = reference_predictions(self.model, self.reference)
+            self.ref_predictions = forward(self.model, self.reference.features)
 
     def score(self, assignment: FeatureAssignment) -> Candidate:
         fixed = forward(self.model, clone_and_fix(self.reference, assignment))
@@ -168,7 +174,7 @@ class Scorer:
             ups = sensitivity_from_predictions(fixed, self.ref_predictions)
         else:
             ups = predict_sensitivity(self.surrogate, assignment,
-                                      self.reference).per_label
+                                      self.reference)
         gamma = gamma_from(lam, ups, self.config.omega, self.objective)
         return Candidate(assignment, gamma, lam, ups)
 

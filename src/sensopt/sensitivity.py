@@ -10,13 +10,12 @@ fixing every column scores exactly 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateReferenceError, DomainError, ShapeError
-from .nn import MLPModel, check_matrix, forward
+from .nn import check_matrix
 
 DEGENERATE_VAR = 1e-12
 
@@ -65,17 +64,11 @@ class FeatureAssignment:
         return tuple(sorted(self.pairs))
 
 
-class ReferenceSource(Enum):
-    TRAIN_SPLIT = "train"
-    TEST_SPLIT = "test"
-
-
 @dataclass
 class ReferenceSet:
     """Frozen empirical distribution the sensitivity score averages over."""
 
     features: np.ndarray  # (k, n)
-    source: ReferenceSource = ReferenceSource.TRAIN_SPLIT
     domains: list[np.ndarray] | None = None  # per-feature candidate values, optional
 
     def __post_init__(self):
@@ -92,11 +85,10 @@ class ReferenceSet:
             self.domains = [np.asarray(d, dtype=np.float64) for d in self.domains]
 
     @classmethod
-    def from_dataset(cls, dataset, source: ReferenceSource = ReferenceSource.TRAIN_SPLIT):
+    def from_dataset(cls, dataset):
         """Build from any object exposing .X and .features[i].domain."""
         return cls(
             np.array(dataset.X, dtype=np.float64),
-            source,
             [np.asarray(f.domain, dtype=np.float64) for f in dataset.features],
         )
 
@@ -111,20 +103,6 @@ class ReferenceSet:
     @cached_property
     def column_means(self) -> np.ndarray:
         return self.features.mean(axis=0)
-
-
-@dataclass
-class SensitivityScore:
-    per_label: np.ndarray
-
-    def __post_init__(self):
-        self.per_label = np.asarray(self.per_label, dtype=np.float64)
-        if not np.isfinite(self.per_label).all():
-            raise ValueError("sensitivity score has non-finite entries")
-
-    @property
-    def aggregate(self) -> float:
-        return float(self.per_label.mean())
 
 
 def validate_assignment(a: FeatureAssignment, T: ReferenceSet):
@@ -150,11 +128,6 @@ def clone_and_fix(T: ReferenceSet, a: FeatureAssignment) -> np.ndarray:
     return out
 
 
-def reference_predictions(M: MLPModel, T: ReferenceSet) -> np.ndarray:
-    """forward(M, T.features); precompute once when scoring many assignments."""
-    return forward(M, T.features)
-
-
 def _check_reference_variance(var: np.ndarray):
     for label, v in enumerate(var):
         if v < DEGENERATE_VAR:
@@ -178,40 +151,3 @@ def sensitivity_from_predictions(fixed: np.ndarray,
     constant = (fixed.max(axis=0) - fixed.min(axis=0)) == 0.0
     cov[constant] = 0.0
     return cov / var
-
-
-def sensitivity_score(
-    M: MLPModel,
-    T: ReferenceSet,
-    a: FeatureAssignment,
-    ref_predictions_: np.ndarray | None = None,
-) -> SensitivityScore:
-    """Per-label covariance-over-variance score for one assignment.
-
-    Population-form moments over matched row pairs. Pass `ref_predictions_`
-    (the output of reference_predictions) to amortize repeated calls.
-    """
-    ref = ref_predictions_ if ref_predictions_ is not None else reference_predictions(M, T)
-    fixed = forward(M, clone_and_fix(T, a))
-    return SensitivityScore(sensitivity_from_predictions(fixed, ref))
-
-
-def mean_sensitivity_over_values(
-    M: MLPModel,
-    T: ReferenceSet,
-    base: FeatureAssignment,
-    feature: int,
-    values,
-    ref_predictions_: np.ndarray | None = None,
-) -> np.ndarray:
-    """Aggregate score of base + (feature, v) for each candidate v, in order."""
-    if feature in base.indices:
-        raise ValueError(f"feature {feature} already assigned in base")
-    if ref_predictions_ is None:
-        ref_predictions_ = reference_predictions(M, T)
-    return np.array(
-        [
-            sensitivity_score(M, T, base.extend(feature, v), ref_predictions_).aggregate
-            for v in values
-        ]
-    )

@@ -32,9 +32,8 @@ from .nn import (
 from .sensitivity import (
     FeatureAssignment,
     ReferenceSet,
-    SensitivityScore,
-    reference_predictions,
-    sensitivity_score,
+    clone_and_fix,
+    sensitivity_from_predictions,
     validate_assignment,
 )
 
@@ -125,7 +124,7 @@ def build_distillation_set(model: MLPModel, reference: ReferenceSet,
         raise ConfigError(f"max_arity must be in [1, {n}], got {max_arity}")
 
     rng = np.random.default_rng(seed)
-    ref_preds = reference_predictions(model, reference)
+    ref_preds = forward(model, reference.features)
     inputs = np.zeros((n_samples, 2 * n))
     targets = np.zeros((n_samples, ref_preds.shape[1]))
     assignments = []
@@ -139,9 +138,8 @@ def build_distillation_set(model: MLPModel, reference: ReferenceSet,
         a = FeatureAssignment(tuple(pairs))
         assignments.append(a)
         inputs[s] = encode(a, reference).stacked
-        targets[s] = sensitivity_score(
-            model, reference, a, ref_predictions_=ref_preds
-        ).per_label
+        targets[s] = sensitivity_from_predictions(
+            forward(model, clone_and_fix(reference, a)), ref_preds)
     return DistillationSet(inputs, targets, tuple(assignments), seed)
 
 
@@ -173,14 +171,14 @@ def train_surrogate(dset: DistillationSet, cfg: TrainConfig | None = None):
 
 
 def predict_sensitivity(surrogate: MLPModel, assignment: FeatureAssignment,
-                        reference: ReferenceSet) -> SensitivityScore:
+                        reference: ReferenceSet) -> np.ndarray:
     """Surrogate's per-label sensitivity estimate, reported unclamped."""
     x = encode(assignment, reference).stacked
     if surrogate.n_inputs != x.shape[0]:
         raise ShapeError(
             f"surrogate expects {surrogate.n_inputs} inputs, encoding has {x.shape[0]}"
         )
-    return SensitivityScore(forward(surrogate, x[None, :])[0])
+    return forward(surrogate, x[None, :])[0]
 
 
 def r_squared(predictions: np.ndarray, targets: np.ndarray) -> float:

@@ -101,7 +101,7 @@ def test_top_features_table(workspace):
     root, cfg_path = workspace
     rows = read_csv_rows(root / "out" / "top_features.csv")
     cfg = load_config(cfg_path)
-    train_set, _, _, _, _ = prepare_data(cfg)
+    train_set, _, _, _ = prepare_data(cfg)
     total_pairs = sum(len(d) for d in train_set.value_domains)
     assert len(rows) == min(10, total_pairs)
     assert [int(r["rank"]) for r in rows] == list(range(1, len(rows) + 1))
@@ -114,7 +114,7 @@ def test_baseline_report_counts(workspace):
     root, cfg_path = workspace
     report = json.loads((root / "out" / "baseline_report.json").read_text())
     cfg = load_config(cfg_path)
-    train_set, _, _, _, _ = prepare_data(cfg)
+    train_set, _, _, _ = prepare_data(cfg)
     domains = train_set.value_domains
     assert report["brute_force"]["evaluations"] == enumeration_size(domains, 3)
     assert report["sequential"]["evaluations"] == sum(len(d) for d in domains) + 1
@@ -220,6 +220,42 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     with pytest.raises(ConfigError):
         load_config(tmp_path / "ok.json", {"search": {"mode": "psychic"}})
+
+
+@pytest.mark.parametrize("section,key", [
+    ("search", "omega"), ("search", "zeta"), ("data", "test_fraction"),
+    ("model", "epochs"),
+])
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, section, key):
+    (tmp_path / "d.csv").write_text("a,y\n1,0\n2,1\n3,0\n")
+    cfg = {"data": {"csv": "d.csv", "labels": ["y"]}}
+    cfg.setdefault(section, {})[key] = "abc"
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra,name", [
+    ({"serach": {"omega": 0.3}}, "serach"),
+    ({"search": {"omgea": 0.3}}, "search.omgea"),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, extra, name):
+    (tmp_path / "d.csv").write_text("a,y\n1,0\n2,1\n3,0\n")
+    cfg = {"data": {"csv": "d.csv", "labels": ["y"]}, **extra}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(tmp_path / "c.json")]) == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["distill", "optimize", "baseline",
+                                     "sweep-omega"])
+def test_model_trained_on_other_labels_exits_3(workspace, capsys, command):
+    # with one label named, label1 would be read as a fourth feature
+    root, cfg_path = workspace
+    assert main([command, "--config", str(cfg_path), "--labels", "label0"]) == 3
+    err = capsys.readouterr().err
+    assert "['label0', 'label1']" in err and "['f0', 'f1', 'f2', 'label1']" in err
 
 
 def test_missing_artifact_exits_3(tmp_path, capsys):

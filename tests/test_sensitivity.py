@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from sensopt.errors import DegenerateReferenceError, DomainError
-from sensopt.nn import Activation, Layer, MLPModel, ModelKind, build_model
+from sensopt.nn import Activation, Layer, MLPModel, ModelKind, build_model, forward
+from sensopt.search import Direction, Objective, Scorer, SearchConfig
 from sensopt.sensitivity import (
     FeatureAssignment,
     ReferenceSet,
-    SensitivityScore,
     clone_and_fix,
-    mean_sensitivity_over_values,
-    reference_predictions,
-    sensitivity_score,
+    sensitivity_from_predictions,
 )
 
 
@@ -21,6 +19,13 @@ def linear_model(coeffs) -> MLPModel:
     w = np.asarray(coeffs, dtype=np.float64)[:, None]
     return MLPModel([Layer(w, np.zeros(1), Activation.IDENTITY)],
                     ModelKind.REGRESSOR)
+
+
+def upsilon(model, T, a, ref=None):
+    """Per-label sensitivity of `a` from the two scoring primitives."""
+    if ref is None:
+        ref = forward(model, T.features)
+    return sensitivity_from_predictions(forward(model, clone_and_fix(T, a)), ref)
 
 
 def factorial_reference(levels, n):
@@ -86,8 +91,8 @@ def test_sensitivity_empty_assignment_is_one():
     rng = np.random.default_rng(0)
     model = build_model(4, 3, ModelKind.CLASSIFIER, [8], seed=1)
     T = ReferenceSet(rng.normal(size=(50, 4)))
-    score = sensitivity_score(model, T, FeatureAssignment.empty())
-    assert np.all(np.abs(score.per_label - 1.0) <= 1e-12)
+    score = upsilon(model, T, FeatureAssignment.empty())
+    assert np.all(np.abs(score - 1.0) <= 1e-12)
 
 
 def test_sensitivity_full_assignment_is_zero():
@@ -95,8 +100,7 @@ def test_sensitivity_full_assignment_is_zero():
     model = build_model(3, 2, ModelKind.CLASSIFIER, [6], seed=3)
     T = ReferenceSet(rng.normal(size=(40, 3)))
     full = FeatureAssignment.of((0, 0.5), (1, -1.0), (2, 2.0))
-    score = sensitivity_score(model, T, full)
-    assert np.all(score.per_label == 0.0)
+    assert np.all(upsilon(model, T, full) == 0.0)
 
 
 def test_sensitivity_additive_sobol_identity():
@@ -111,7 +115,7 @@ def test_sensitivity_additive_sobol_identity():
     model = linear_model(coeffs)
     var_f = float(np.sum(coeffs**2 * sigmas**2))
     for q in range(4):
-        got = sensitivity_score(model, T, FeatureAssignment.of((q, 0.7))).aggregate
+        got = upsilon(model, T, FeatureAssignment.of((q, 0.7))).mean()
         want = 1.0 - coeffs[q] ** 2 * sigmas[q] ** 2 / var_f
         assert abs(got - want) < 0.05
 
@@ -122,12 +126,12 @@ def test_sensitivity_monotone_refinement_on_additive_model():
     coeffs = [0.8, -0.5, 0.3, 1.1]
     model = linear_model(coeffs)
     T = factorial_reference([0.0, 1.0, 2.0], 4)
-    ref = reference_predictions(model, T)
+    ref = forward(model, T.features)
     scores = {}
     for r in range(5):
         for subset in itertools.combinations(range(4), r):
             a = FeatureAssignment(tuple((j, 1.0) for j in subset))
-            scores[subset] = sensitivity_score(model, T, a, ref).aggregate
+            scores[subset] = upsilon(model, T, a, ref).mean()
     for subset, value in scores.items():
         for bigger, bigger_value in scores.items():
             if set(subset) < set(bigger):
@@ -139,9 +143,9 @@ def test_sensitivity_row_order_invariance():
     model = build_model(3, 2, ModelKind.CLASSIFIER, [5], seed=0)
     X = rng.normal(size=(30, 3))
     a = FeatureAssignment.of((1, 0.25))
-    base = sensitivity_score(model, ReferenceSet(X), a).per_label
+    base = upsilon(model, ReferenceSet(X), a)
     perm = rng.permutation(30)
-    shuffled = sensitivity_score(model, ReferenceSet(X[perm]), a).per_label
+    shuffled = upsilon(model, ReferenceSet(X[perm]), a)
     assert np.all(np.abs(base - shuffled) <= 1e-12)
 
 
@@ -150,40 +154,23 @@ def test_sensitivity_degenerate_variance_names_label():
     l = Layer(np.zeros((2, 2)), np.zeros(2), Activation.SIGMOID)
     model = MLPModel([l], ModelKind.CLASSIFIER)
     T = ReferenceSet(np.random.default_rng(0).normal(size=(10, 2)))
+    cfg = SearchConfig(value_domains=[[0.0]] * 2)
+    scorer = Scorer(model, T, cfg, Objective(Direction.MINIMIZE_LABELS))
     with pytest.raises(DegenerateReferenceError) as err:
-        sensitivity_score(model, T, FeatureAssignment.empty())
+        scorer.score(FeatureAssignment.empty())
     assert err.value.label == 0
     assert "label" in str(err.value)
 
 
-def test_sensitivity_score_aggregate_is_mean():
-    s = SensitivityScore(np.array([0.2, 0.4, 0.9]))
-    assert abs(s.aggregate - 0.5) < 1e-15
-
-
-def test_mean_sensitivity_over_values_matches_single_scores():
-    rng = np.random.default_rng(9)
-    model = build_model(3, 2, ModelKind.CLASSIFIER, [6], seed=2)
-    T = ReferenceSet(rng.normal(size=(25, 3)))
-    base = FeatureAssignment.of((0, 0.1))
-    vec = mean_sensitivity_over_values(model, T, base, 2, [0.5])
-    want = sensitivity_score(model, T, base.extend(2, 0.5)).aggregate
-    assert vec.shape == (1,)
-    assert vec[0] == want
-
-    dup = mean_sensitivity_over_values(model, T, base, 2, [0.5, 0.5, -1.0])
-    assert dup[0] == dup[1]
-
-    with pytest.raises(ValueError):
-        mean_sensitivity_over_values(model, T, base, 0, [1.0])
-
-
-def test_mean_sensitivity_dead_feature_invariance():
+def test_sensitivity_dead_feature_invariance():
     # zero coefficient on feature 3: fixing it cannot move predictions
     model = linear_model([0.7, -0.4, 1.1, 0.0])
     rng = np.random.default_rng(11)
     T = ReferenceSet(rng.normal(size=(200, 4)))
+    cfg = SearchConfig(value_domains=[[0.0]] * 4)
+    scorer = Scorer(model, T, cfg, Objective(Direction.MINIMIZE_LABELS))
     base = FeatureAssignment.of((0, 0.3))
-    base_score = sensitivity_score(model, T, base).aggregate
-    vec = mean_sensitivity_over_values(model, T, base, 3, [-2.0, 0.0, 5.0])
-    assert np.all(np.abs(vec - base_score) <= 1e-9)
+    base_score = scorer.score(base).upsilon_per_label
+    for v in (-2.0, 0.0, 5.0):
+        got = scorer.score(base.extend(3, v)).upsilon_per_label
+        assert np.all(np.abs(got - base_score) <= 1e-9)
