@@ -45,6 +45,7 @@ from .nn import (
 from .search import (
     Direction,
     Objective,
+    ScoreCache,
     SearchConfig,
     SensitivityMode,
     format_assignment,
@@ -190,6 +191,9 @@ def validate_config(cfg: dict):
     labels = data["labels"]
     if not labels or not isinstance(labels, list):
         raise ConfigError("config requires data.labels, a non-empty list")
+    if not isinstance(data["stratify"], bool):
+        raise ConfigError(
+            f"data.stratify must be true or false, got {data['stratify']!r}")
     csv_path = _data_path(cfg)
     if not csv_path.exists():
         raise ConfigError(f"data.csv does not exist: {csv_path}")
@@ -246,7 +250,7 @@ def prepare_data(cfg: dict):
         dataset,
         test_fraction=cfg["data"]["test_fraction"],
         seed=derive_seed(cfg["seed"], "split"),
-        stratify=bool(cfg["data"]["stratify"]),
+        stratify=cfg["data"]["stratify"],
     )
     scaler = fit_scaler(train_set)
     return (scaler.transform(train_set), scaler.transform(test_set),
@@ -412,7 +416,9 @@ def cmd_optimize(cfg: dict) -> int:
         _load_search_inputs(cfg)
     sc = _search_config(cfg, reference)
     objective = _objective(cfg)
-    sn, trace = run_search(model, reference, sc, objective, surrogate=surrogate)
+    cache = ScoreCache(model, reference, sc.sensitivity_mode, surrogate)
+    sn, trace = run_search(model, reference, sc, objective,
+                           surrogate=surrogate, cache=cache)
 
     out = _out_dir(cfg)
     write_trace_csv(trace, out / TRACE_FILE, objective,
@@ -432,7 +438,7 @@ def cmd_optimize(cfg: dict) -> int:
 
     effects = top_feature_report(model, reference, sc, objective,
                                  k=cfg["search"]["top_k"],
-                                 surrogate=surrogate)
+                                 surrogate=surrogate, cache=cache)
     with (out / TOP_FEATURES_FILE).open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
@@ -543,6 +549,7 @@ def cmd_sweep_omega(cfg: dict) -> int:
     objective = _objective(cfg)
     sc = _search_config(cfg, reference)
     direction_best = min if objective.direction is Direction.MINIMIZE_LABELS else max
+    cache = ScoreCache(model, reference, sc.sensitivity_mode, surrogate)
 
     out = _out_dir(cfg)
     with (out / SWEEP_FILE).open("w", newline="", encoding="utf-8") as fh:
@@ -551,7 +558,7 @@ def cmd_sweep_omega(cfg: dict) -> int:
         writer.writerow(["omega", "best_mean_lambda", "best_gamma", "assignment"])
         for omega in cfg["sweep"]["grid"]:
             sn, _ = run_search(model, reference, replace(sc, omega=omega),
-                               objective, surrogate=surrogate)
+                               objective, surrogate=surrogate, cache=cache)
             by_lambda = direction_best(sn, key=lambda c: c.mean_lambda(objective))
             writer.writerow([
                 repr(omega),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, DataError, ShapeError, TrainingDivergedError
 
 FORMAT_VERSION = 1
 
@@ -424,20 +424,38 @@ def save_model(model: MLPModel, path, meta: dict | None = None):
 
 
 def load_model(path):
-    """Read a snapshot written by save_model. Returns (model, meta)."""
-    doc = json.loads(Path(path).read_text())
+    """Read a snapshot written by save_model. Returns (model, meta).
+
+    A file that is not JSON, or lacks or garbles a field, raises DataError
+    naming it; an unsupported format_version raises ConfigError."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as e:
+        raise DataError(f"{path}: not a readable model file ({e})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a readable model file (no JSON object)")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(
             f"unsupported model format_version {doc.get('format_version')!r}"
         )
-    layers = [
-        Layer(
-            np.asarray(spec["weights"], dtype=np.float64).reshape(
-                spec["input_dim"], spec["output_dim"]
-            ),
-            np.asarray(spec["biases"], dtype=np.float64),
-            Activation(spec["activation"]),
-        )
-        for spec in doc["layers"]
-    ]
-    return MLPModel(layers, ModelKind(doc["kind"])), doc.get("meta", {})
+    try:
+        layers = [
+            Layer(
+                np.asarray(spec["weights"], dtype=np.float64).reshape(
+                    spec["input_dim"], spec["output_dim"]
+                ),
+                np.asarray(spec["biases"], dtype=np.float64),
+                Activation(spec["activation"]),
+            )
+            for spec in doc["layers"]
+        ]
+        kind = ModelKind(doc["kind"])
+    except KeyError as e:
+        raise DataError(f"{path}: model file lacks field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed model file ({e})") from None
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: malformed model file (meta is not an object)")
+    return MLPModel(layers, kind), meta

@@ -24,7 +24,8 @@ from .sensitivity import (
     FeatureAssignment,
     ReferenceSet,
     clone_and_fix,
-    sensitivity_from_predictions,
+    reference_moments,
+    sensitivity_from_moments,
 )
 from .surrogate import predict_sensitivity
 
@@ -139,13 +140,72 @@ def lambda_of(M: MLPModel, T: ReferenceSet, a: FeatureAssignment) -> np.ndarray:
     return forward(M, clone_and_fix(T, a)).mean(axis=0)
 
 
+class ScoreCache:
+    """Lambda and upsilon of one model on one reference in one sensitivity
+    mode, computed once per distinct assignment.
+
+    Neither depends on omega or the objective, so every search over the
+    same inputs can share one cache and re-blend gamma from it. The
+    reference's centred predictions and variance are computed on the first
+    oracle score, so a degenerate reference raises there, and a
+    surrogate-mode cache never computes them.
+    """
+
+    def __init__(self, model: MLPModel, reference: ReferenceSet,
+                 mode: SensitivityMode, surrogate: MLPModel | None = None):
+        if mode is SensitivityMode.SURROGATE:
+            if surrogate is None:
+                raise ConfigError("surrogate mode selected but no surrogate given")
+            if surrogate.n_inputs != 2 * reference.n_features:
+                raise ShapeError(
+                    f"surrogate input width {surrogate.n_inputs} does not "
+                    f"match {reference.n_features} features"
+                )
+        self.model = model
+        self.reference = reference
+        self.mode = mode
+        self.surrogate = surrogate
+        self._moments = None
+        self._scores: dict = {}
+
+    def serves(self, model: MLPModel, reference: ReferenceSet,
+               mode: SensitivityMode, surrogate: MLPModel | None) -> bool:
+        return (self.model is model and self.reference is reference
+                and self.mode is mode and self.surrogate is surrogate)
+
+    def lambda_upsilon(self, assignment: FeatureAssignment) -> tuple:
+        """(lambda, upsilon) per label, both read-only arrays."""
+        key = assignment.key
+        # Only assignments that passed validation are stored, and validity
+        # depends on the key alone, so a hit needs no second check.
+        hit = self._scores.get(key)
+        if hit is not None:
+            return hit
+        fixed = forward(self.model, clone_and_fix(self.reference, assignment))
+        lam = fixed.mean(axis=0)
+        if self.mode is SensitivityMode.ORACLE:
+            if self._moments is None:
+                self._moments = reference_moments(
+                    forward(self.model, self.reference.features))
+            ups = sensitivity_from_moments(fixed, *self._moments)
+        else:
+            ups = predict_sensitivity(self.surrogate, assignment,
+                                      self.reference)
+        lam.flags.writeable = False
+        ups.flags.writeable = False
+        self._scores[key] = (lam, ups)
+        return lam, ups
+
+
 @dataclass
 class Scorer:
     """Bundles everything needed to turn an assignment into a Candidate.
 
-    Reference predictions are computed once; each score then costs a single
-    forward pass over the clone-and-fixed reference (oracle mode) or over
-    one encoded row (surrogate mode, lambda still from the classifier).
+    Each distinct assignment costs one forward pass over the clone-and-fixed
+    reference, plus one encoded row through the surrogate in surrogate mode
+    (lambda still comes from the classifier); `cache` holds the results and
+    may be shared with other Scorers over the same model, reference and
+    mode, whatever their omega or objective.
     """
 
     model: MLPModel
@@ -153,28 +213,20 @@ class Scorer:
     config: SearchConfig
     objective: Objective
     surrogate: MLPModel | None = None
-    ref_predictions: np.ndarray = field(default=None, repr=False)
+    cache: ScoreCache | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.config.sensitivity_mode is SensitivityMode.SURROGATE:
-            if self.surrogate is None:
-                raise ConfigError("surrogate mode selected but no surrogate given")
-            if self.surrogate.n_inputs != 2 * self.reference.n_features:
-                raise ShapeError(
-                    f"surrogate input width {self.surrogate.n_inputs} does not "
-                    f"match {self.reference.n_features} features"
-                )
-        if self.ref_predictions is None:
-            self.ref_predictions = forward(self.model, self.reference.features)
+        mode = self.config.sensitivity_mode
+        if self.cache is None:
+            self.cache = ScoreCache(self.model, self.reference, mode,
+                                    self.surrogate)
+        elif not self.cache.serves(self.model, self.reference, mode,
+                                   self.surrogate):
+            raise ConfigError("score cache was built for another model, "
+                              "reference, surrogate or sensitivity mode")
 
     def score(self, assignment: FeatureAssignment) -> Candidate:
-        fixed = forward(self.model, clone_and_fix(self.reference, assignment))
-        lam = fixed.mean(axis=0)
-        if self.config.sensitivity_mode is SensitivityMode.ORACLE:
-            ups = sensitivity_from_predictions(fixed, self.ref_predictions)
-        else:
-            ups = predict_sensitivity(self.surrogate, assignment,
-                                      self.reference)
+        lam, ups = self.cache.lambda_upsilon(assignment)
         gamma = gamma_from(lam, ups, self.config.omega, self.objective)
         return Candidate(assignment, gamma, lam, ups)
 
@@ -260,11 +312,13 @@ def _stage_best_lambda(candidates: list, objective: Objective) -> float:
 
 
 def run_search(M: MLPModel, T: ReferenceSet, config: SearchConfig,
-               objective: Objective, surrogate: MLPModel | None = None):
+               objective: Objective, surrogate: MLPModel | None = None,
+               cache: ScoreCache | None = None):
     """Beam search from the empty assignment. Returns (SN, trace) where SN
-    is the final beam plus the best candidate seen at any stage."""
+    is the final beam plus the best candidate seen at any stage. A shared
+    `cache` reuses the scores of earlier searches over the same inputs."""
     config.validate(T.n_features)
-    scorer = Scorer(M, T, config, objective, surrogate=surrogate)
+    scorer = Scorer(M, T, config, objective, surrogate=surrogate, cache=cache)
 
     empty = scorer.score(FeatureAssignment.empty())
     best = empty
@@ -298,14 +352,16 @@ class FeatureEffect:
 
 def top_feature_report(M: MLPModel, T: ReferenceSet, config: SearchConfig,
                        objective: Objective, k: int,
-                       surrogate: MLPModel | None = None) -> list:
+                       surrogate: MLPModel | None = None,
+                       cache: ScoreCache | None = None) -> list:
     """Rank every single-pair assignment by gamma; k best, full scan order.
 
-    gamma_delta's sign marks pairs scoring below the do-nothing baseline."""
+    gamma_delta's sign marks pairs scoring below the do-nothing baseline.
+    A `cache` shared with run_search makes every pair a lookup."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     config.validate(T.n_features)
-    scorer = Scorer(M, T, config, objective, surrogate=surrogate)
+    scorer = Scorer(M, T, config, objective, surrogate=surrogate, cache=cache)
     gamma_empty = scorer.score(FeatureAssignment.empty()).gamma
     effects = []
     for j, domain in enumerate(config.value_domains):

@@ -104,14 +104,20 @@ class ReferenceSet:
     def column_means(self) -> np.ndarray:
         return self.features.mean(axis=0)
 
+    @cached_property
+    def domain_sets(self) -> list:
+        """Per-feature set of the exact domain values, for fast membership."""
+        return [frozenset(dom.tolist()) for dom in self.domains]
+
 
 def validate_assignment(a: FeatureAssignment, T: ReferenceSet):
-    """Check indices fit T's width and values lie in declared domains."""
+    """Check indices fit T's width and values lie in declared domains
+    (within 1e-12 of a domain entry)."""
     n = T.n_features
     for j, v in a:
         if j >= n:
             raise IndexError(f"feature index {j} out of range for {n} features")
-        if T.domains is not None:
+        if T.domains is not None and v not in T.domain_sets[j]:
             dom = T.domains[j]
             if not np.any(np.abs(dom - v) <= 1e-12):
                 raise DomainError(
@@ -134,16 +140,28 @@ def _check_reference_variance(var: np.ndarray):
             raise DegenerateReferenceError(label, float(v))
 
 
-def sensitivity_from_predictions(fixed: np.ndarray,
-                                 ref: np.ndarray) -> np.ndarray:
-    """Per-label cov(fixed, ref)/var(ref) over matched rows, population form."""
-    if fixed.shape != ref.shape:
-        raise ShapeError(
-            f"prediction shapes differ: {fixed.shape} vs {ref.shape}"
-        )
+def reference_moments(ref: np.ndarray) -> tuple:
+    """(centred reference predictions, per-label population variance), the
+    half of the score that is the same for every assignment."""
     ct = ref - ref.mean(axis=0)
     var = (ct * ct).mean(axis=0)
     _check_reference_variance(var)
+    return ct, var
+
+
+def sensitivity_from_predictions(fixed: np.ndarray,
+                                 ref: np.ndarray) -> np.ndarray:
+    """Per-label cov(fixed, ref)/var(ref) over matched rows, population form."""
+    return sensitivity_from_moments(fixed, *reference_moments(ref))
+
+
+def sensitivity_from_moments(fixed: np.ndarray, ct: np.ndarray,
+                             var: np.ndarray) -> np.ndarray:
+    """sensitivity_from_predictions against precomputed reference_moments."""
+    if fixed.shape != ct.shape:
+        raise ShapeError(
+            f"prediction shapes differ: {fixed.shape} vs {ct.shape}"
+        )
     cc = fixed - fixed.mean(axis=0)
     cov = (cc * ct).mean(axis=0)
     # A constant column has zero covariance by definition; bypass the tiny

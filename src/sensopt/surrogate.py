@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .nn import (
     LossKind,
     MLPModel,
@@ -33,7 +33,8 @@ from .sensitivity import (
     FeatureAssignment,
     ReferenceSet,
     clone_and_fix,
-    sensitivity_from_predictions,
+    reference_moments,
+    sensitivity_from_moments,
     validate_assignment,
 )
 
@@ -124,9 +125,9 @@ def build_distillation_set(model: MLPModel, reference: ReferenceSet,
         raise ConfigError(f"max_arity must be in [1, {n}], got {max_arity}")
 
     rng = np.random.default_rng(seed)
-    ref_preds = forward(model, reference.features)
+    ct, var = reference_moments(forward(model, reference.features))
     inputs = np.zeros((n_samples, 2 * n))
-    targets = np.zeros((n_samples, ref_preds.shape[1]))
+    targets = np.zeros((n_samples, var.shape[0]))
     assignments = []
     for s in range(n_samples):
         arity = int(rng.integers(1, max_arity + 1))
@@ -138,8 +139,8 @@ def build_distillation_set(model: MLPModel, reference: ReferenceSet,
         a = FeatureAssignment(tuple(pairs))
         assignments.append(a)
         inputs[s] = encode(a, reference).stacked
-        targets[s] = sensitivity_from_predictions(
-            forward(model, clone_and_fix(reference, a)), ref_preds)
+        targets[s] = sensitivity_from_moments(
+            forward(model, clone_and_fix(reference, a)), ct, var)
     return DistillationSet(inputs, targets, tuple(assignments), seed)
 
 
@@ -211,15 +212,17 @@ def save_surrogate(surrogate: MLPModel, path, n_features: int):
 
 
 def load_surrogate(path):
-    """Returns (model, meta); refuses encodings newer than this code."""
+    """Returns (model, meta); refuses encodings newer than this code and,
+    with DataError, a file whose meta is missing or disagrees with it."""
     model, meta = load_model(path)
     for key in ("n_features", "n_labels", "encoding_version"):
         if key not in meta:
-            raise ConfigError(f"surrogate file missing meta field {key!r}")
+            raise DataError(f"{path}: surrogate file missing meta field {key!r}")
     if meta["encoding_version"] > ENCODING_VERSION:
         raise ConfigError(
             f"unsupported encoding version {meta['encoding_version']}"
         )
     if model.n_inputs != 2 * meta["n_features"]:
-        raise ConfigError("stored input width disagrees with n_features meta")
+        raise DataError(
+            f"{path}: stored input width disagrees with n_features meta")
     return model, meta

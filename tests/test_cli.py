@@ -258,6 +258,37 @@ def test_model_trained_on_other_labels_exits_3(workspace, capsys, command):
     assert "['label0', 'label1']" in err and "['f0', 'f1', 'f2', 'label1']" in err
 
 
+@pytest.mark.parametrize("value", ["false", 1])
+def test_non_boolean_stratify_exits_2(tmp_path, capsys, value):
+    (tmp_path / "d.csv").write_text("a,y\n1,0\n2,1\n3,0\n")
+    cfg = {"data": {"csv": "d.csv", "labels": ["y"], "stratify": value}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert "data.stratify" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("model.json", []),
+    ("surrogate.json", ["--mode", "surrogate"]),
+])
+def test_corrupt_artifact_exits_3(tmp_path, capsys, name, flags):
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
+                                             label_count=1, seed=1))
+    save_csv(ds, tmp_path / "data.csv")
+    cfg = {"data": {"csv": "data.csv", "labels": ["label0"]},
+           "model": {"hidden_dims": [4], "epochs": 5},
+           "surrogate": {"hidden_dims": [4, 4], "epochs": 5, "n_samples": 20}}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(["distill", "--config", str(p)]) == 0
+    (tmp_path / "out" / name).write_text("{not json")
+    assert main(["optimize", "--config", str(p)] + flags) == 3
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def test_missing_artifact_exits_3(tmp_path, capsys):
     ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
                                              label_count=1, seed=1))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sensopt.errors import ConfigError, ShapeError, TrainingDivergedError
+from sensopt.errors import ConfigError, DataError, ShapeError, TrainingDivergedError
 from sensopt.nn import (
     Activation,
     Layer,
@@ -278,6 +278,29 @@ def test_save_load_round_trip_bit_exact(tmp_path):
         assert a.activation is b.activation
     x = np.random.default_rng(0).normal(size=(9, 3))
     assert np.array_equal(forward(model, x), forward(loaded, x))
+
+
+@pytest.mark.parametrize("text,missing", [
+    ('{"format_version": 1, "kind": "regressor"}', "layers"),
+    ('{"format_version": 1, "layers": []}', "kind"),
+    ('{"format_version": 1, "kind": "regressor", "layers": '
+     '[{"input_dim": 1, "output_dim": 1, "activation": "identity", '
+     '"biases": [0.0]}]}', "weights"),
+])
+def test_load_names_missing_field_and_file(tmp_path, text, missing):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        load_model(path)
+    assert str(path) in str(err.value) and repr(missing) in str(err.value)
+
+
+def test_load_rejects_meta_that_is_not_an_object(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(build_model(2, 1, ModelKind.REGRESSOR, [2], seed=0), path)
+    path.write_text(path.read_text().replace('"meta": {}', '"meta": []'))
+    with pytest.raises(DataError):
+        load_model(path)
 
 
 def test_load_rejects_unknown_format_version(tmp_path):

@@ -1,22 +1,33 @@
-"""Property tests: the two scoring composites agree with each other.
+"""Property tests: the scoring composites agree with each other.
 
 `lambda_of` (the baselines' path) and `Scorer.score` (the search's path)
 both go through forward(M, clone_and_fix(T, a)), and distillation labels
-through sensitivity_from_predictions, so their numbers must match bit for
-bit. Examples are derandomized so the suite stays deterministic.
+through the same reference moments, so their numbers must match bit for
+bit; so must a Scorer whose score cache was filled by another search and a
+fresh one. Examples are derandomized so the suite stays deterministic.
 """
+
+import csv
+import io
+import json
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensopt import cli
 from sensopt.baseline import brute_force
+from sensopt.data import SyntheticSpec, generate_synthetic, save_csv
 from sensopt.nn import ModelKind, build_model
 from sensopt.search import (
     Direction,
     Objective,
+    ScoreCache,
     Scorer,
     SearchConfig,
+    SensitivityMode,
+    format_assignment,
     lambda_of,
     run_search,
 )
@@ -25,6 +36,7 @@ from sensopt.surrogate import build_distillation_set
 
 PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
 MIN = Objective(Direction.MINIMIZE_LABELS)
+MAX = Objective(Direction.MAXIMIZE_LABELS)
 
 
 @st.composite
@@ -81,3 +93,52 @@ def test_brute_force_bounds_every_beam_candidate(problem, omega, zeta):
     sn, trace = run_search(model, reference, cfg, MIN)
     for c in sn + [c for stage in trace.stages for c in stage.candidates]:
         assert best_at[len(c.assignment)] <= c.mean_lambda(MIN)
+
+
+@PROPERTY
+@given(problems(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from([MIN, MAX]), st.integers(1, 3))
+def test_warm_cache_scores_equal_fresh_scores(problem, omega, warm_omega,
+                                              objective, zeta):
+    model, reference, a = problem
+    cfg = SearchConfig(value_domains=reference.domains, omega=omega, zeta=zeta)
+    cache = ScoreCache(model, reference, SensitivityMode.ORACLE)
+    run_search(model, reference, replace(cfg, omega=warm_omega), MIN,
+               cache=cache)
+    Scorer(model, reference, replace(cfg, omega=warm_omega), MIN,
+           cache=cache).score(a)
+    warm = Scorer(model, reference, cfg, objective, cache=cache).score(a)
+    fresh = Scorer(model, reference, cfg, objective).score(a)
+    assert warm.assignment == a
+    assert np.array_equal(warm.lambda_per_label, fresh.lambda_per_label)
+    assert np.array_equal(warm.upsilon_per_label, fresh.upsilon_per_label)
+    assert warm.gamma == fresh.gamma
+
+
+def test_sweep_omega_file_equals_one_uncached_search_per_omega(tmp_path):
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=3, n_samples=60,
+                                             label_count=2, seed=5))
+    save_csv(ds, tmp_path / "data.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 3, "data": {"csv": "data.csv", "labels": ["label0", "label1"]},
+        "model": {"hidden_dims": [8], "epochs": 20},
+        "search": {"zeta": 2}, "sweep": {"grid": [0.1, 0.5, 0.9]}}))
+    assert cli.main(["train", "--config", str(config)]) == 0
+    assert cli.main(["sweep-omega", "--config", str(config)]) == 0
+
+    cfg = cli.load_config(config)
+    _, model, reference, _, names = cli._load_search_inputs(cfg)
+    sc = cli._search_config(cfg, reference)
+    text = io.StringIO(newline="")
+    text.write(f"# schema_version={cli.SCHEMA_VERSION}\n")
+    writer = csv.writer(text)
+    writer.writerow(["omega", "best_mean_lambda", "best_gamma", "assignment"])
+    for omega in cfg["sweep"]["grid"]:
+        sn, _ = run_search(model, reference, replace(sc, omega=omega), MIN)
+        by_lambda = min(sn, key=lambda c: c.mean_lambda(MIN))
+        writer.writerow([repr(omega), repr(by_lambda.mean_lambda(MIN)),
+                         repr(sn[0].gamma),
+                         format_assignment(by_lambda.assignment, names)])
+    written = (tmp_path / "out" / cli.SWEEP_FILE).read_bytes()
+    assert written == text.getvalue().encode("utf-8")

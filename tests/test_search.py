@@ -8,6 +8,7 @@ from sensopt.search import (
     Candidate,
     Direction,
     Objective,
+    ScoreCache,
     Scorer,
     SearchConfig,
     SensitivityMode,
@@ -311,6 +312,21 @@ def test_surrogate_mode_uses_surrogate_scores():
     assert np.all(c.upsilon_per_label == 0.25)
     want = gamma_from(c.lambda_per_label, np.full(2, 0.25), 0.6, MIN)
     assert c.gamma == want
+
+
+def test_scorer_refuses_a_cache_built_for_other_inputs():
+    # oracle and surrogate scores, or two models' scores, never mix
+    M, T = make_setup(seed=47)
+    cfg = SearchConfig(value_domains=T.domains)
+    cache = ScoreCache(M, T, SensitivityMode.ORACLE)
+    surrogate_cfg = SearchConfig(value_domains=T.domains,
+                                 sensitivity_mode=SensitivityMode.SURROGATE)
+    with pytest.raises(ConfigError):
+        Scorer(M, T, surrogate_cfg, MIN,
+               surrogate=constant_regressor(6, 2, value=0.25), cache=cache)
+    other, _ = make_setup(seed=48)
+    with pytest.raises(ConfigError):
+        run_search(other, T, cfg, MIN, cache=cache)
 
 
 def test_format_assignment():

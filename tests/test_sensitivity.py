@@ -87,6 +87,19 @@ def test_clone_and_fix_validates_indices_and_domains():
         clone_and_fix(T, FeatureAssignment.of((0, 0.5)))
 
 
+def test_domain_check_keeps_its_tolerance():
+    T = ReferenceSet(np.zeros((3, 2)),
+                     domains=[np.array([0.0, 0.1]), np.array([1.0])])
+    near = 0.1 + 1e-13
+    assert near != 0.1
+    out = clone_and_fix(T, FeatureAssignment.of((0, near)))
+    assert np.all(out[:, 0] == near)  # the given value, not the domain entry
+    with pytest.raises(DomainError):
+        clone_and_fix(T, FeatureAssignment.of((0, 0.1 + 1e-9)))
+    with pytest.raises(IndexError):
+        clone_and_fix(T, FeatureAssignment.of((2, 1.0)))
+
+
 def test_sensitivity_empty_assignment_is_one():
     rng = np.random.default_rng(0)
     model = build_model(4, 3, ModelKind.CLASSIFIER, [8], seed=1)

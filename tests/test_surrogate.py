@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from sensopt.errors import ConfigError, ShapeError
-from sensopt.nn import LossKind, ModelKind, TrainConfig, build_model, forward
+from sensopt.errors import ConfigError, DataError, ShapeError
+from sensopt.nn import (
+    LossKind,
+    ModelKind,
+    TrainConfig,
+    build_model,
+    forward,
+    save_model,
+)
 from sensopt.sensitivity import (
     FeatureAssignment,
     ReferenceSet,
@@ -195,6 +202,19 @@ def test_surrogate_save_load_round_trip(tmp_path):
     assert meta["n_labels"] == 2
     assert meta["encoding_version"] == 1
     assert evaluate_surrogate(loaded, dset) == evaluate_surrogate(surrogate, dset)
+
+
+@pytest.mark.parametrize("meta", [
+    {"n_labels": 2, "encoding_version": 1},  # n_features missing
+    {"n_features": 3, "n_labels": 2, "encoding_version": 1},  # width is 8
+])
+def test_surrogate_load_rejects_bad_meta_as_data_error(tmp_path, meta):
+    path = tmp_path / "ds.json"
+    save_model(build_model(8, 2, ModelKind.REGRESSOR, [4, 4], seed=0), path,
+               meta=meta)
+    with pytest.raises(DataError) as err:
+        load_surrogate(path)
+    assert str(path) in str(err.value)
 
 
 def test_surrogate_save_rejects_width_mismatch(tmp_path):
