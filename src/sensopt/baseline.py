@@ -82,9 +82,7 @@ def _improves(value: float, key: tuple, best_value: float | None,
     if best_value is None:
         return True
     if value != best_value:
-        if direction is Direction.MINIMIZE_LABELS:
-            return value < best_value
-        return value > best_value
+        return direction.better(value, best_value)
     return key < best_key
 
 

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import hashlib
 import json
@@ -47,7 +46,6 @@ from .search import (
     Objective,
     ScoreCache,
     SearchConfig,
-    SensitivityMode,
     format_assignment,
     gamma_per_label,
     run_search,
@@ -81,38 +79,95 @@ SWEEP_FILE = "sweep_omega.csv"
 
 DEFAULT_SWEEP_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
-DEFAULTS = {
-    "seed": 0,
-    "out_dir": "out",
-    "data": {"csv": None, "labels": None, "test_fraction": 0.1,
-             "stratify": False},
-    "model": {"hidden_dims": [64], "learning_rate": 0.05, "epochs": 300,
-              "batch_size": 16},
-    "surrogate": {"hidden_dims": [64, 32], "learning_rate": 0.05, "epochs": 300,
-                  "batch_size": 16, "n_samples": 5000, "max_arity": None,
-                  "holdout_fraction": 0.2},
-    "search": {"omega": 0.6, "zeta": 5, "max_depth": None, "mode": "oracle",
-               "direction": "minimize", "label_subset": None, "top_k": 10},
-    "baseline": {"budget": 10**6, "max_arity": None},
-    "sweep": {"grid": DEFAULT_SWEEP_GRID},
-}
 
-# Element type of every numeric field, "section.key" or a top-level key;
-# list-valued fields convert each element. Fields whose default is None
-# also accept null.
-NUMERIC_FIELDS = {
-    "seed": int, "data.test_fraction": float,
-    "model.hidden_dims": [int], "model.learning_rate": float,
-    "model.epochs": int, "model.batch_size": int,
-    "surrogate.hidden_dims": [int], "surrogate.learning_rate": float,
-    "surrogate.epochs": int, "surrogate.batch_size": int,
-    "surrogate.n_samples": int, "surrogate.max_arity": int,
-    "surrogate.holdout_fraction": float,
-    "search.omega": float, "search.zeta": int, "search.max_depth": int,
-    "search.label_subset": [int], "search.top_k": int,
-    "baseline.budget": int, "baseline.max_arity": int,
-    "sweep.grid": [float],
+# Converters: each checks one config value and returns it in the form the
+# commands read, or raises ValueError saying what the value must be.
+
+def _number(kind: type, lo=-sys.float_info.max, hi=sys.float_info.max):
+    """An int or float in [lo, hi]; never a boolean, a string, an infinity,
+    NaN or, for int, a fractional value."""
+    what = "an integer" if kind is int else "a finite number"
+    if lo > -sys.float_info.max:
+        what += f" >= {lo}" if hi == sys.float_info.max else f" in [{lo}, {hi}]"
+
+    def convert(value):
+        if kind is int and isinstance(value, float) and value.is_integer():
+            value = int(value)  # 3.0 counts as 3; inf and NaN stay floats
+        if (isinstance(value, bool)
+                or not isinstance(value, int if kind is int else (int, float))
+                or not lo <= value <= hi):
+            raise ValueError(what)
+        return kind(value)
+    return convert
+
+
+def _typed(kind: type, what: str):
+    def convert(value):
+        if not isinstance(value, kind):
+            raise ValueError(what)
+        return value
+    return convert
+
+
+def _choice(*names, to=str):
+    def convert(value):
+        if not isinstance(value, str) or value not in names:
+            raise ValueError("one of " + ", ".join(names))
+        return to(value)
+    return convert
+
+
+def _list(item, min_len: int = 0):
+    def convert(value):
+        if not isinstance(value, list) or len(value) < min_len:
+            raise ValueError("a non-empty list" if min_len else "a list")
+        try:
+            return [item(v) for v in value]
+        except ValueError as e:
+            raise ValueError(f"a list of items each {e}") from None
+    return convert
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+_INT, _FLOAT = _number(int), _number(float)
+_STRING = _typed(str, "a string")
+_OPTIONAL_INT = _optional(_INT)
+
+# Every config field, "section.key" or a top-level key, with its default and
+# its converter. A key not listed here is an error.
+FIELDS = {
+    "seed": (0, _INT),
+    "out_dir": ("out", _STRING),
+    "data.csv": (None, _STRING),
+    "data.labels": (None, _list(_STRING, min_len=1)),
+    "data.test_fraction": (0.1, _FLOAT),
+    "data.stratify": (False, _typed(bool, "true or false")),
+    "model.hidden_dims": ([64], _list(_INT)),
+    "model.learning_rate": (0.05, _FLOAT),
+    "model.epochs": (300, _INT),
+    "model.batch_size": (16, _INT),
+    "surrogate.hidden_dims": ([64, 32], _list(_INT)),
+    "surrogate.learning_rate": (0.05, _FLOAT),
+    "surrogate.epochs": (300, _INT),
+    "surrogate.batch_size": (16, _INT),
+    "surrogate.n_samples": (5000, _INT),
+    "surrogate.max_arity": (None, _OPTIONAL_INT),
+    "surrogate.holdout_fraction": (0.2, _FLOAT),
+    "search.omega": (0.6, _number(float, 0, 1)),
+    "search.zeta": (5, _number(int, 1)),
+    "search.max_depth": (None, _OPTIONAL_INT),
+    "search.mode": ("oracle", _choice("oracle", "surrogate")),
+    "search.direction": ("minimize", _choice(*(d.value for d in Direction), to=Direction)),
+    "search.label_subset": (None, _optional(_list(_number(int, 0), min_len=1))),
+    "search.top_k": (10, _number(int, 1)),
+    "baseline.budget": (10**6, _INT),
+    "baseline.max_arity": (None, _OPTIONAL_INT),
+    "sweep.grid": (DEFAULT_SWEEP_GRID, _list(_number(float, 0, 1))),
 }
+SECTIONS = {path.partition(".")[0] for path in FIELDS if "." in path}
 
 
 def derive_seed(global_seed: int, tag: str) -> int:
@@ -121,17 +176,19 @@ def derive_seed(global_seed: int, tag: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base, override: dict):
+    """`override` over `base`, keeping a non-object `base` for the key check."""
+    if not isinstance(base, dict):
+        return base
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
+        out[k] = _merge(out.get(k, {}), v) if isinstance(v, dict) else v
     return out
 
 
 def load_config(path, overrides: dict | None = None) -> dict:
+    """The nested config: every FIELDS entry, given or defaulted, converted
+    and checked after `overrides` (the command-line flags) are merged."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -141,71 +198,37 @@ def load_config(path, overrides: dict | None = None) -> dict:
         raise ConfigError(f"{p}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be an object")
-    _check_known_keys(raw)
-    cfg = _merge(copy.deepcopy(DEFAULTS), raw)
-    if overrides:
-        cfg = _merge(cfg, overrides)
-    cfg["_base_dir"] = str(p.parent)
-    validate_config(cfg)
-    return cfg
+    doc = _merge(raw, overrides or {})
+    for name, value in doc.items():
+        if name in SECTIONS and isinstance(value, dict):
+            unknown = [f"{name}.{k}" for k in value if f"{name}.{k}" not in FIELDS]
+        elif name in SECTIONS:
+            raise ConfigError(f"{name} must be an object")
+        else:
+            unknown = [name] if name not in FIELDS or "." in name else []
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
 
-
-def _check_known_keys(raw: dict):
-    for name, value in raw.items():
-        if name not in DEFAULTS:
-            raise ConfigError(f"unknown config key {name!r}")
-        if isinstance(DEFAULTS[name], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{name} must be an object")
-            for key in value:
-                if key not in DEFAULTS[name]:
-                    raise ConfigError(f"unknown config key '{name}.{key}'")
-
-
-def _convert_numeric(cfg: dict):
-    """Convert every numeric field in place, naming the first bad one."""
-    for path, kind in NUMERIC_FIELDS.items():
+    cfg: dict = {"_base_dir": str(p.parent)}
+    for path, (default, convert) in FIELDS.items():
         section, _, key = path.rpartition(".")
-        owner = cfg[section] if section else cfg
-        default = DEFAULTS[section][key] if section else DEFAULTS[key]
-        value = owner[key]
-        if value is None and default is None:
-            continue
+        given = doc.get(section, {}) if section else doc
+        value = given.get(key, default)
         try:
-            if isinstance(kind, list):
-                if not isinstance(value, list):
-                    raise TypeError
-                owner[key] = [kind[0](v) for v in value]
-            else:
-                owner[key] = kind(value)
-        except (TypeError, ValueError):
-            expected = "a list of numbers" if isinstance(kind, list) else "a number"
-            raise ConfigError(f"{path} must be {expected}, got {value!r}") from None
+            value = convert(value)
+        except ValueError as e:
+            raise ConfigError(f"{path} must be {e}, got {value!r}") from None
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value
 
-
-def validate_config(cfg: dict):
-    _convert_numeric(cfg)
-    data = cfg["data"]
-    if data["csv"] is None:
-        raise ConfigError("config requires data.csv")
-    labels = data["labels"]
-    if not labels or not isinstance(labels, list):
-        raise ConfigError("config requires data.labels, a non-empty list")
-    if not isinstance(data["stratify"], bool):
-        raise ConfigError(
-            f"data.stratify must be true or false, got {data['stratify']!r}")
     csv_path = _data_path(cfg)
-    if not csv_path.exists():
-        raise ConfigError(f"data.csv does not exist: {csv_path}")
-    omega = cfg["search"]["omega"]
-    if not 0.0 <= omega <= 1.0:
-        raise ConfigError(f"search.omega must be in [0,1], got {omega}")
-    if cfg["search"]["zeta"] < 1:
-        raise ConfigError(f"search.zeta must be >= 1, got {cfg['search']['zeta']}")
-    if cfg["search"]["mode"] not in ("oracle", "surrogate"):
-        raise ConfigError(f"search.mode must be oracle or surrogate")
-    if cfg["search"]["direction"] not in ("minimize", "maximize"):
-        raise ConfigError("search.direction must be minimize or maximize")
+    if not csv_path.is_file():
+        raise ConfigError(f"data.csv is not a file: {csv_path}")
+    subset, n_labels = cfg["search"]["label_subset"], len(cfg["data"]["labels"])
+    if subset is not None and (max(subset) >= n_labels
+                               or len(set(subset)) < len(subset)):
+        raise ConfigError(f"search.label_subset must hold distinct indices "
+                          f"below len(data.labels) = {n_labels}, got {subset}")
+    return cfg
 
 
 def _data_path(cfg: dict) -> Path:
@@ -269,23 +292,18 @@ def _train_config(section: dict, loss: LossKind, seed: int) -> TrainConfig:
 
 
 def _objective(cfg: dict) -> Objective:
-    direction = (Direction.MINIMIZE_LABELS
-                 if cfg["search"]["direction"] == "minimize"
-                 else Direction.MAXIMIZE_LABELS)
     subset = cfg["search"]["label_subset"]
-    return Objective(direction, tuple(subset) if subset else None)
+    return Objective(cfg["search"]["direction"],
+                     None if subset is None else tuple(subset))
 
 
 def _search_config(cfg: dict, reference: ReferenceSet) -> SearchConfig:
     section = cfg["search"]
-    mode = (SensitivityMode.ORACLE if section["mode"] == "oracle"
-            else SensitivityMode.SURROGATE)
     sc = SearchConfig(
         value_domains=reference.domains,
         omega=section["omega"],
         zeta=section["zeta"],
         max_depth=section["max_depth"],
-        sensitivity_mode=mode,
     )
     sc.validate(reference.n_features)
     return sc
@@ -383,12 +401,21 @@ def _load_model(cfg: dict, train_set):
 
 
 def _load_search_inputs(cfg: dict):
+    """Data, model, reference and, in surrogate mode, the surrogate, which
+    is refused if it was distilled for other data."""
     train_set, _, _, _ = prepare_data(cfg)
     model = _load_model(cfg, train_set)
     reference = ReferenceSet.from_dataset(train_set)
     surrogate = None
     if cfg["search"]["mode"] == "surrogate":
-        surrogate, _ = load_surrogate(_artifact_path(cfg, SURROGATE_FILE))
+        surrogate, meta = load_surrogate(_artifact_path(cfg, SURROGATE_FILE))
+        distilled = (meta["n_features"], meta["n_labels"])
+        if distilled != (train_set.n_features, train_set.n_labels):
+            raise DataError(
+                f"{SURROGATE_FILE} was distilled for {distilled[0]} features "
+                f"and {distilled[1]} labels, but the data gives "
+                f"{train_set.n_features} features and {train_set.n_labels} "
+                f"labels (rerun distill)")
     feature_names = [f.name for f in train_set.features]
     return train_set, model, reference, surrogate, feature_names
 
@@ -416,7 +443,7 @@ def cmd_optimize(cfg: dict) -> int:
         _load_search_inputs(cfg)
     sc = _search_config(cfg, reference)
     objective = _objective(cfg)
-    cache = ScoreCache(model, reference, sc.sensitivity_mode, surrogate)
+    cache = ScoreCache(model, reference, surrogate)
     sn, trace = run_search(model, reference, sc, objective,
                            surrogate=surrogate, cache=cache)
 
@@ -428,7 +455,7 @@ def cmd_optimize(cfg: dict) -> int:
         "zeta": sc.zeta,
         "max_depth": sc.depth(),
         "mode": cfg["search"]["mode"],
-        "direction": cfg["search"]["direction"],
+        "direction": cfg["search"]["direction"].value,
         "labels": train_set.label_names,
         "selected": [
             _candidate_doc(c, objective, sc.omega, train_set.features)
@@ -523,8 +550,7 @@ def cmd_compare(cfg: dict) -> int:
     """Per-stage, per-method best mean lambda, values copied verbatim from
     the source traces."""
     out = _out_dir(cfg)
-    direction = cfg["search"]["direction"]
-    better = (lambda a, b: a < b) if direction == "minimize" else (lambda a, b: a > b)
+    better = cfg["search"]["direction"].better
 
     merged: dict = {}  # (stage, method) -> mean_lambda string
     for name in (TRACE_FILE, BASELINE_TRACE_FILE):
@@ -548,8 +574,7 @@ def cmd_sweep_omega(cfg: dict) -> int:
     _, model, reference, surrogate, feature_names = _load_search_inputs(cfg)
     objective = _objective(cfg)
     sc = _search_config(cfg, reference)
-    direction_best = min if objective.direction is Direction.MINIMIZE_LABELS else max
-    cache = ScoreCache(model, reference, sc.sensitivity_mode, surrogate)
+    cache = ScoreCache(model, reference, surrogate)
 
     out = _out_dir(cfg)
     with (out / SWEEP_FILE).open("w", newline="", encoding="utf-8") as fh:
@@ -559,7 +584,8 @@ def cmd_sweep_omega(cfg: dict) -> int:
         for omega in cfg["sweep"]["grid"]:
             sn, _ = run_search(model, reference, replace(sc, omega=omega),
                                objective, surrogate=surrogate, cache=cache)
-            by_lambda = direction_best(sn, key=lambda c: c.mean_lambda(objective))
+            by_lambda = objective.direction.best(
+                sn, key=lambda c: c.mean_lambda(objective))
             writer.writerow([
                 repr(omega),
                 repr(by_lambda.mean_lambda(objective)),
@@ -589,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", type=float, default=None)
         p.add_argument("--zeta", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=["oracle", "surrogate"], default=None)
+        p.add_argument("--mode", default=None, help="oracle or surrogate")
         p.add_argument("--labels", default=None,
                        help="comma-separated label column names")
         p.add_argument("--out", default=None, help="output directory")

@@ -109,12 +109,6 @@ class MLPModel:
     def n_outputs(self) -> int | None:
         return self.layers[-1].output_dim if self.layers else None
 
-    def copy(self) -> "MLPModel":
-        return MLPModel(
-            [Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in self.layers],
-            self.kind,
-        )
-
 
 @dataclass
 class TrainConfig:
@@ -140,10 +134,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     epoch_losses: list[float]
-
-    @property
-    def final_loss(self) -> float:
-        return self.epoch_losses[-1]
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -382,7 +372,6 @@ def build_model(
     kind: ModelKind,
     hidden_dims,
     seed: int = 0,
-    hidden_activation: Activation = Activation.RELU,
 ) -> MLPModel:
     """Glorot-uniform initialized network, deterministic given seed."""
     if n_inputs < 1 or n_outputs < 1:
@@ -391,7 +380,7 @@ def build_model(
     dims = [n_inputs, *hidden_dims, n_outputs]
     specs = [
         LayerSpec(dims[i], dims[i + 1],
-                  hidden_activation if i < len(dims) - 2 else final)
+                  Activation.RELU if i < len(dims) - 2 else final)
         for i in range(len(dims) - 1)
     ]
     rng = np.random.default_rng(seed)

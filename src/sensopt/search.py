@@ -33,13 +33,18 @@ TRACE_SCHEMA_VERSION = 1
 
 
 class Direction(Enum):
+    """Which way mean lambda should move; the value is `search.direction`."""
+
     MINIMIZE_LABELS = "minimize"
     MAXIMIZE_LABELS = "maximize"
 
+    def better(self, a: float, b: float) -> bool:
+        """Whether mean lambda `a` strictly beats `b`."""
+        return a < b if self is Direction.MINIMIZE_LABELS else a > b
 
-class SensitivityMode(Enum):
-    ORACLE = "oracle"
-    SURROGATE = "surrogate"
+    def best(self, items, key=None):
+        """The first of `items` whose `key` no other item beats."""
+        return (min if self is Direction.MINIMIZE_LABELS else max)(items, key=key)
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,6 @@ class SearchConfig:
     omega: float = 0.6
     zeta: int = 5
     max_depth: int | None = None  # None means number of features
-    sensitivity_mode: SensitivityMode = SensitivityMode.ORACLE
 
     def validate(self, n_features: int | None = None):
         if not 0.0 <= self.omega <= 1.0:
@@ -141,37 +145,35 @@ def lambda_of(M: MLPModel, T: ReferenceSet, a: FeatureAssignment) -> np.ndarray:
 
 
 class ScoreCache:
-    """Lambda and upsilon of one model on one reference in one sensitivity
-    mode, computed once per distinct assignment.
+    """Lambda and upsilon of one model on one reference, computed once per
+    distinct assignment; upsilon comes from `surrogate` when one is given,
+    else from the exact oracle.
 
     Neither depends on omega or the objective, so every search over the
     same inputs can share one cache and re-blend gamma from it. The
     reference's centred predictions and variance are computed on the first
-    oracle score, so a degenerate reference raises there, and a
-    surrogate-mode cache never computes them.
+    oracle score, so a degenerate reference raises there, and a cache with
+    a surrogate never computes them.
     """
 
     def __init__(self, model: MLPModel, reference: ReferenceSet,
-                 mode: SensitivityMode, surrogate: MLPModel | None = None):
-        if mode is SensitivityMode.SURROGATE:
-            if surrogate is None:
-                raise ConfigError("surrogate mode selected but no surrogate given")
-            if surrogate.n_inputs != 2 * reference.n_features:
-                raise ShapeError(
-                    f"surrogate input width {surrogate.n_inputs} does not "
-                    f"match {reference.n_features} features"
-                )
+                 surrogate: MLPModel | None = None):
+        if (surrogate is not None
+                and surrogate.n_inputs != 2 * reference.n_features):
+            raise ShapeError(
+                f"surrogate input width {surrogate.n_inputs} does not "
+                f"match {reference.n_features} features"
+            )
         self.model = model
         self.reference = reference
-        self.mode = mode
         self.surrogate = surrogate
         self._moments = None
         self._scores: dict = {}
 
     def serves(self, model: MLPModel, reference: ReferenceSet,
-               mode: SensitivityMode, surrogate: MLPModel | None) -> bool:
+               surrogate: MLPModel | None) -> bool:
         return (self.model is model and self.reference is reference
-                and self.mode is mode and self.surrogate is surrogate)
+                and self.surrogate is surrogate)
 
     def lambda_upsilon(self, assignment: FeatureAssignment) -> tuple:
         """(lambda, upsilon) per label, both read-only arrays."""
@@ -183,7 +185,7 @@ class ScoreCache:
             return hit
         fixed = forward(self.model, clone_and_fix(self.reference, assignment))
         lam = fixed.mean(axis=0)
-        if self.mode is SensitivityMode.ORACLE:
+        if self.surrogate is None:
             if self._moments is None:
                 self._moments = reference_moments(
                     forward(self.model, self.reference.features))
@@ -202,10 +204,10 @@ class Scorer:
     """Bundles everything needed to turn an assignment into a Candidate.
 
     Each distinct assignment costs one forward pass over the clone-and-fixed
-    reference, plus one encoded row through the surrogate in surrogate mode
-    (lambda still comes from the classifier); `cache` holds the results and
-    may be shared with other Scorers over the same model, reference and
-    mode, whatever their omega or objective.
+    reference, plus one encoded row through `surrogate` when one is given,
+    which then supplies upsilon (lambda still comes from the classifier);
+    `cache` holds the results and may be shared with other Scorers over the
+    same model, reference and surrogate, whatever their omega or objective.
     """
 
     model: MLPModel
@@ -216,14 +218,11 @@ class Scorer:
     cache: ScoreCache | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        mode = self.config.sensitivity_mode
         if self.cache is None:
-            self.cache = ScoreCache(self.model, self.reference, mode,
-                                    self.surrogate)
-        elif not self.cache.serves(self.model, self.reference, mode,
-                                   self.surrogate):
+            self.cache = ScoreCache(self.model, self.reference, self.surrogate)
+        elif not self.cache.serves(self.model, self.reference, self.surrogate):
             raise ConfigError("score cache was built for another model, "
-                              "reference, surrogate or sensitivity mode")
+                              "reference or surrogate")
 
     def score(self, assignment: FeatureAssignment) -> Candidate:
         lam, ups = self.cache.lambda_upsilon(assignment)
@@ -232,18 +231,10 @@ class Scorer:
 
 
 def score_candidate(M: MLPModel, T: ReferenceSet, a: FeatureAssignment,
-                    omega: float, objective: Objective,
-                    sensitivity_source=None) -> Candidate:
-    """One-off scoring without a reusable Scorer.
-
-    `sensitivity_source` is an optional surrogate model; None scores with
-    the exact oracle.
-    """
-    mode = SensitivityMode.ORACLE if sensitivity_source is None \
-        else SensitivityMode.SURROGATE
-    cfg = SearchConfig(value_domains=[[0.0]] * T.n_features, omega=omega,
-                       sensitivity_mode=mode)
-    return Scorer(M, T, cfg, objective, surrogate=sensitivity_source).score(a)
+                    omega: float, objective: Objective) -> Candidate:
+    """One-off oracle scoring without a reusable Scorer."""
+    cfg = SearchConfig(value_domains=[[0.0]] * T.n_features, omega=omega)
+    return Scorer(M, T, cfg, objective).score(a)
 
 
 def expand(beam: list, config: SearchConfig, scorer: Scorer) -> list:
@@ -305,10 +296,8 @@ class SearchTrace:
 
 
 def _stage_best_lambda(candidates: list, objective: Objective) -> float:
-    values = [c.mean_lambda(objective) for c in candidates]
-    if objective.direction is Direction.MINIMIZE_LABELS:
-        return min(values)
-    return max(values)
+    return objective.direction.best([c.mean_lambda(objective)
+                                     for c in candidates])
 
 
 def run_search(M: MLPModel, T: ReferenceSet, config: SearchConfig,

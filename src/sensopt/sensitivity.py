@@ -93,10 +93,6 @@ class ReferenceSet:
         )
 
     @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.features.shape[1]
 

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +223,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     with pytest.raises(ConfigError):
         load_config(tmp_path / "ok.json", {"search": {"mode": "psychic"}})
+    # a flag for a section the file gives as a non-object must not hide it
+    (tmp_path / "flat.json").write_text(json.dumps({**ok, "search": 5}))
+    with pytest.raises(ConfigError, match="search must be an object"):
+        load_config(tmp_path / "flat.json", {"search": {"omega": 0.5}})
 
 
 @pytest.mark.parametrize("section,key", [
@@ -311,6 +318,78 @@ def test_degenerate_reference_exits_4(tmp_path):
     assert main(["train", "--config", str(p)]) == 0
     # every reference row is identical, so prediction variance is zero
     assert main(["optimize", "--config", str(p)]) == 4
+
+
+@pytest.mark.parametrize("command,fragment,name", [
+    ("train", '"data": {"csv": 5, "labels": ["y"]}', "data.csv"),
+    ("train", '"out_dir": 5', "out_dir"),
+    ("train", '"model": {"epochs": 2.7}', "model.epochs"),
+    ("train", '"seed": 1.5', "seed"),
+    ("train", '"model": {"epochs": 1e400}', "model.epochs"),
+    ("optimize", '"search": {"zeta": true}', "search.zeta"),
+    ("optimize", '"search": {"label_subset": [0.5]}', "search.label_subset"),
+    ("optimize", '"search": {"label_subset": []}', "search.label_subset"),
+    ("optimize", '"search": {"label_subset": [1]}', "search.label_subset"),
+    ("optimize", '"search": {"top_k": 0}', "search.top_k"),
+    ("sweep-omega", '"sweep": {"grid": [0.5, 1.5]}', "sweep.grid"),
+])
+def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command,
+                                                    fragment, name):
+    # a bad value stops the command at load, before it writes anything
+    (tmp_path / "d.csv").write_text("a,y\n1,0\n2,1\n3,0\n")
+    text = '{"data": {"csv": "d.csv", "labels": ["y"]}, ' + fragment + "}"
+    (tmp_path / "c.json").write_text(text)
+    assert main([command, "--config", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_label_subset_is_checked_against_the_labels_flag(tmp_path, capsys):
+    (tmp_path / "d.csv").write_text("a,y,z\n1,0,1\n2,1,0\n3,0,1\n")
+    cfg = {"data": {"csv": "d.csv", "labels": ["y", "z"]},
+           "search": {"label_subset": [1]}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert load_config(tmp_path / "c.json")["search"]["label_subset"] == [1]
+    assert main(["optimize", "--config", str(tmp_path / "c.json"),
+                 "--labels", "y"]) == 2
+    assert "search.label_subset" in capsys.readouterr().err
+
+
+def test_surrogate_distilled_for_other_features_exits_3(tmp_path, capsys):
+    cfg = {"data": {"csv": "data.csv", "labels": ["label0"]},
+           "model": {"hidden_dims": [4], "epochs": 5},
+           "surrogate": {"hidden_dims": [4, 4], "epochs": 5, "n_samples": 20}}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    for n_features, commands in [(3, ["train", "distill"]), (4, ["train"])]:
+        ds, _ = generate_synthetic(SyntheticSpec(
+            n_features=n_features, n_samples=30, label_count=1, seed=1))
+        save_csv(ds, tmp_path / "data.csv")
+        for command in commands:
+            assert main([command, "--config", str(p)]) == 0
+    assert main(["optimize", "--config", str(p), "--mode", "surrogate"]) == 3
+    err = capsys.readouterr().err
+    assert "surrogate.json" in err and "rerun distill" in err
+    assert "Traceback" not in err
+
+
+def test_import_pulls_in_only_stdlib_and_numpy():
+    # `import sensopt` is timed by the benchmark's setup_s; keep it light
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); {}"
+             "print(json.dumps(sorted(sys.modules)))")
+
+    def loaded(statement):
+        done = subprocess.run([sys.executable, "-c", probe.format(statement),
+                               src], capture_output=True, text=True,
+                              check=True, timeout=60)
+        return set(json.loads(done.stdout))
+
+    new = loaded("import sensopt, sensopt.cli; ") - loaded("")
+    allowed = set(sys.stdlib_module_names) | {"numpy", "sensopt"}
+    assert "sensopt.cli" in new
+    assert sorted({m.partition(".")[0] for m in new} - allowed) == []
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():

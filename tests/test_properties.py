@@ -4,7 +4,9 @@
 both go through forward(M, clone_and_fix(T, a)), and distillation labels
 through the same reference moments, so their numbers must match bit for
 bit; so must a Scorer whose score cache was filled by another search and a
-fresh one. Examples are derandomized so the suite stays deterministic.
+fresh one. Loading a config either succeeds or raises ConfigError, whatever
+JSON value a field holds. Examples are derandomized so the suite stays
+deterministic.
 """
 
 import csv
@@ -13,12 +15,14 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensopt import cli
 from sensopt.baseline import brute_force
 from sensopt.data import SyntheticSpec, generate_synthetic, save_csv
+from sensopt.errors import ConfigError
 from sensopt.nn import ModelKind, build_model
 from sensopt.search import (
     Direction,
@@ -26,7 +30,6 @@ from sensopt.search import (
     ScoreCache,
     Scorer,
     SearchConfig,
-    SensitivityMode,
     format_assignment,
     lambda_of,
     run_search,
@@ -102,7 +105,7 @@ def test_warm_cache_scores_equal_fresh_scores(problem, omega, warm_omega,
                                               objective, zeta):
     model, reference, a = problem
     cfg = SearchConfig(value_domains=reference.domains, omega=omega, zeta=zeta)
-    cache = ScoreCache(model, reference, SensitivityMode.ORACLE)
+    cache = ScoreCache(model, reference)
     run_search(model, reference, replace(cfg, omega=warm_omega), MIN,
                cache=cache)
     Scorer(model, reference, replace(cfg, omega=warm_omega), MIN,
@@ -113,6 +116,33 @@ def test_warm_cache_scores_equal_fresh_scores(problem, omega, warm_omega,
     assert np.array_equal(warm.lambda_per_label, fresh.lambda_per_label)
     assert np.array_equal(warm.upsilon_per_label, fresh.upsilon_per_label)
     assert warm.gamma == fresh.gamma
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=5)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config")
+    (root / "d.csv").write_text("a,y\n1,0\n2,1\n3,0\n")
+    return root
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(cli.FIELDS)), JSON_VALUES)
+def test_load_config_accepts_or_raises_config_error(config_dir, field, value):
+    raw = {"data": {"csv": "d.csv", "labels": ["y"]}}
+    section, _, key = field.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[key] = value
+    path = config_dir / "config.json"
+    path.write_text(json.dumps(raw))
+    try:
+        cli.load_config(path)
+    except ConfigError:
+        pass
 
 
 def test_sweep_omega_file_equals_one_uncached_search_per_omega(tmp_path):

@@ -11,7 +11,6 @@ from sensopt.search import (
     ScoreCache,
     Scorer,
     SearchConfig,
-    SensitivityMode,
     expand,
     format_assignment,
     gamma_from,
@@ -22,7 +21,12 @@ from sensopt.search import (
     top_feature_report,
     write_trace_csv,
 )
-from sensopt.sensitivity import FeatureAssignment, ReferenceSet
+from sensopt.sensitivity import (
+    FeatureAssignment,
+    ReferenceSet,
+    clone_and_fix,
+    sensitivity_from_predictions,
+)
 
 MIN = Objective(Direction.MINIMIZE_LABELS)
 MAX = Objective(Direction.MAXIMIZE_LABELS)
@@ -287,43 +291,49 @@ def test_top_feature_report_dead_model_equal_contributions():
                      domains=[np.array([0.0, 1.0])] * n)
     M = constant_classifier(n, 2)
     ds = constant_regressor(2 * n, 2, value=0.0)
-    cfg = SearchConfig(value_domains=T.domains,
-                       sensitivity_mode=SensitivityMode.SURROGATE)
+    cfg = SearchConfig(value_domains=T.domains)
     report = top_feature_report(M, T, cfg, MIN, k=50, surrogate=ds)
     deltas = np.array([e.gamma_delta for e in report])
     assert np.all(np.abs(deltas) <= 1e-9)
-
-
-def test_surrogate_mode_requires_surrogate():
-    M, T = make_setup(seed=41)
-    cfg = SearchConfig(value_domains=T.domains,
-                       sensitivity_mode=SensitivityMode.SURROGATE)
-    with pytest.raises(ConfigError):
-        run_search(M, T, cfg, MIN)
 
 
 def test_surrogate_mode_uses_surrogate_scores():
     n = 3
     M, T = make_setup(n=n, seed=43)
     ds = constant_regressor(2 * n, 2, value=0.25)
-    cfg = SearchConfig(value_domains=T.domains, omega=0.6,
-                       sensitivity_mode=SensitivityMode.SURROGATE)
+    cfg = SearchConfig(value_domains=T.domains, omega=0.6)
     c = Scorer(M, T, cfg, MIN, surrogate=ds).score(FeatureAssignment.of((0, 1.0)))
     assert np.all(c.upsilon_per_label == 0.25)
     want = gamma_from(c.lambda_per_label, np.full(2, 0.25), 0.6, MIN)
     assert c.gamma == want
 
 
+def test_upsilon_comes_from_the_surrogate_exactly_when_one_is_given():
+    M, T = make_setup(n=3, seed=43)
+    a = FeatureAssignment.of((0, 1.0))
+    cfg = SearchConfig(value_domains=T.domains)
+    oracle = sensitivity_from_predictions(forward(M, clone_and_fix(T, a)),
+                                          forward(M, T.features))
+    plain = Scorer(M, T, cfg, MIN).score(a)
+    assert np.array_equal(plain.upsilon_per_label, oracle)
+    ds = constant_regressor(6, 2, value=0.25)
+    distilled = Scorer(M, T, cfg, MIN, surrogate=ds).score(a)
+    assert np.array_equal(distilled.upsilon_per_label, np.full(2, 0.25))
+    assert not np.array_equal(oracle, np.full(2, 0.25))
+    # lambda is the classifier's either way
+    assert np.array_equal(distilled.lambda_per_label, plain.lambda_per_label)
+
+
 def test_scorer_refuses_a_cache_built_for_other_inputs():
     # oracle and surrogate scores, or two models' scores, never mix
     M, T = make_setup(seed=47)
     cfg = SearchConfig(value_domains=T.domains)
-    cache = ScoreCache(M, T, SensitivityMode.ORACLE)
-    surrogate_cfg = SearchConfig(value_domains=T.domains,
-                                 sensitivity_mode=SensitivityMode.SURROGATE)
+    cache = ScoreCache(M, T)
+    surrogate = constant_regressor(6, 2, value=0.25)
     with pytest.raises(ConfigError):
-        Scorer(M, T, surrogate_cfg, MIN,
-               surrogate=constant_regressor(6, 2, value=0.25), cache=cache)
+        Scorer(M, T, cfg, MIN, surrogate=surrogate, cache=cache)
+    with pytest.raises(ConfigError):
+        Scorer(M, T, cfg, MIN, cache=ScoreCache(M, T, surrogate))
     other, _ = make_setup(seed=48)
     with pytest.raises(ConfigError):
         run_search(other, T, cfg, MIN, cache=cache)
