@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
 from .nn import MLPModel
-from .sensitivity import FeatureAssignment, ReferenceSet
+from .sensitivity import FeatureAssignment, ReferenceSet, SensitivityKernel
 from .search import Direction, Objective, Scorer, lambda_of
 
 DEFAULT_BUDGET = 10**6
@@ -104,15 +104,23 @@ def brute_force(M: MLPModel, T: ReferenceSet, value_domains,
     if size > budget:
         raise BudgetExceededError(size, budget)
 
+    kernel = SensitivityKernel(M, T)
     evaluations = 0
     unset = (None, None, None)
     stage_best = {}  # arity -> (value, key, assignment)
-    for a in enumerate_assignments(domains, max_arity):
-        value = objective.collapse(lambda_of(M, T, a))
-        evaluations += 1
-        prev = stage_best.get(len(a), unset)
-        if _improves(value, a.key, prev[0], prev[1], objective.direction):
-            stage_best[len(a)] = (value, a.key, a)
+    for arity in range(max_arity + 1):
+        for subset in combinations(range(len(domains)), arity):
+            # One batch per subset: every value row, in domain order.
+            combos = list(product(*(domains[j] for j in subset)))
+            rows = np.array(combos, dtype=np.float64).reshape(len(combos), arity)
+            values = objective.collapse_rows(kernel.lambdas(subset, rows))
+            evaluations += len(values)
+            value = objective.direction.best(values.tolist())
+            key = min(tuple(zip(subset, rows[i].tolist()))
+                      for i in np.flatnonzero(values == value))
+            prev = stage_best.get(arity, unset)
+            if _improves(value, key, prev[0], prev[1], objective.direction):
+                stage_best[arity] = (value, key, FeatureAssignment(key))
     # Same (value, key) order, so the best per-arity best is the overall best.
     best = unset
     for cand in stage_best.values():
@@ -142,22 +150,23 @@ def sequential_dp(M: MLPModel, T: ReferenceSet, value_domains,
     if sorted(feature_order) != list(range(n)):
         raise ConfigError("feature_order must be a permutation of all features")
 
+    kernel = SensitivityKernel(M, T)
     current = FeatureAssignment.empty()
     value = objective.collapse(lambda_of(M, T, current))
     evaluations = 1
     trace = [BaselineStage(0, current, value)]
     for step, j in enumerate(feature_order, start=1):
-        best_v = None
+        cands = [current.extend(j, float(v)) for v in domains[j]]
+        lam, _ = kernel.score_assignments(cands, upsilon=False)
+        evaluations += len(cands)
+        best = None
         best_value = None
-        for v in domains[j]:
-            cand = current.extend(j, float(v))
-            cand_value = objective.collapse(lambda_of(M, T, cand))
-            evaluations += 1
+        for cand, cand_value in zip(cands, objective.collapse_rows(lam).tolist()):
             if _improves(cand_value, cand.key, best_value,
-                         current.extend(j, best_v).key if best_v is not None else None,
+                         None if best is None else best.key,
                          objective.direction):
-                best_value, best_v = cand_value, float(v)
-        current = current.extend(j, best_v)
+                best_value, best = cand_value, cand
+        current = best
         value = best_value
         trace.append(BaselineStage(step, current, value))
     return BaselineResult("sequential", current, value, evaluations, trace)

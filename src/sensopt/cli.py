@@ -133,8 +133,17 @@ def _optional(convert):
 
 
 _INT, _FLOAT = _number(int), _number(float)
+_COUNT, _RATE = _number(int, 1), _number(float, 0)
 _STRING = _typed(str, "a string")
-_OPTIONAL_INT = _optional(_INT)
+
+
+def _fraction(value):
+    """A finite number strictly between 0 and 1."""
+    value = _FLOAT(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError("a number in (0, 1)")
+    return value
+
 
 # Every config field, "section.key" or a top-level key, with its default and
 # its converter. A key not listed here is an error.
@@ -143,28 +152,30 @@ FIELDS = {
     "out_dir": ("out", _STRING),
     "data.csv": (None, _STRING),
     "data.labels": (None, _list(_STRING, min_len=1)),
-    "data.test_fraction": (0.1, _FLOAT),
+    "data.test_fraction": (0.1, _fraction),
     "data.stratify": (False, _typed(bool, "true or false")),
-    "model.hidden_dims": ([64], _list(_INT)),
-    "model.learning_rate": (0.05, _FLOAT),
-    "model.epochs": (300, _INT),
-    "model.batch_size": (16, _INT),
-    "surrogate.hidden_dims": ([64, 32], _list(_INT)),
-    "surrogate.learning_rate": (0.05, _FLOAT),
-    "surrogate.epochs": (300, _INT),
-    "surrogate.batch_size": (16, _INT),
-    "surrogate.n_samples": (5000, _INT),
-    "surrogate.max_arity": (None, _OPTIONAL_INT),
-    "surrogate.holdout_fraction": (0.2, _FLOAT),
+    "model.hidden_dims": ([64], _list(_COUNT)),
+    "model.learning_rate": (0.05, _RATE),
+    "model.epochs": (300, _COUNT),
+    "model.batch_size": (16, _COUNT),
+    "surrogate.hidden_dims": ([64, 32], _list(_COUNT)),
+    "surrogate.learning_rate": (0.05, _RATE),
+    "surrogate.epochs": (300, _COUNT),
+    "surrogate.batch_size": (16, _COUNT),
+    "surrogate.n_samples": (5000, _COUNT),
+    # The upper bound of either max_arity is the data's feature count,
+    # checked by the command once the data is loaded.
+    "surrogate.max_arity": (None, _optional(_COUNT)),
+    "surrogate.holdout_fraction": (0.2, _fraction),
     "search.omega": (0.6, _number(float, 0, 1)),
-    "search.zeta": (5, _number(int, 1)),
-    "search.max_depth": (None, _OPTIONAL_INT),
+    "search.zeta": (5, _COUNT),
+    "search.max_depth": (None, _optional(_number(int, 0))),
     "search.mode": ("oracle", _choice("oracle", "surrogate")),
     "search.direction": ("minimize", _choice(*(d.value for d in Direction), to=Direction)),
     "search.label_subset": (None, _optional(_list(_number(int, 0), min_len=1))),
-    "search.top_k": (10, _number(int, 1)),
+    "search.top_k": (10, _COUNT),
     "baseline.budget": (10**6, _INT),
-    "baseline.max_arity": (None, _OPTIONAL_INT),
+    "baseline.max_arity": (None, _optional(_number(int, 0))),
     "sweep.grid": (DEFAULT_SWEEP_GRID, _list(_number(float, 0, 1))),
 }
 SECTIONS = {path.partition(".")[0] for path in FIELDS if "." in path}
@@ -251,10 +262,8 @@ def _to_jsonable(x):
         return {k: _to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_to_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_to_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
+    if isinstance(x, (np.ndarray, np.floating, np.integer)):
+        return x.tolist()
     return x
 
 
@@ -262,6 +271,15 @@ def write_json(path: Path, obj: dict):
     obj = {"schema_version": SCHEMA_VERSION, **_to_jsonable(obj)}
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
+
+
+def _write_csv(path: Path, header: list, rows):
+    """A CSV table after the schema comment line that every CSV output has."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def prepare_data(cfg: dict):
@@ -341,7 +359,7 @@ def cmd_train(cfg: dict) -> int:
         "labels": train_set.label_names,
         "epochs": tc.epochs,
         "loss_curve": report.epoch_losses,
-        "final_train_loss": report.epoch_losses[-1] if report.epoch_losses else None,
+        "final_train_loss": report.epoch_losses[-1],
         "test_loss": float(bce_loss(test_preds, test_set.Y)),
         "train_accuracy_per_label": _accuracy(train_preds, train_set.Y),
         "test_accuracy_per_label": _accuracy(test_preds, test_set.Y),
@@ -359,6 +377,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_distill(cfg: dict) -> int:
     train_set, _, _, _ = prepare_data(cfg)
+    _check_max_arity(cfg, "surrogate", train_set.n_features)
     model = _load_model(cfg, train_set)
     reference = ReferenceSet.from_dataset(train_set)
     seed = cfg["seed"]
@@ -380,7 +399,7 @@ def cmd_distill(cfg: dict) -> int:
         "n_samples": dset.n_samples,
         "train_samples": head.n_samples,
         "holdout_samples": tail.n_samples,
-        "final_train_loss": report.epoch_losses[-1] if report.epoch_losses else None,
+        "final_train_loss": report.epoch_losses[-1],
         "r_squared_train": evaluate_surrogate(surrogate, head),
         "r_squared_holdout": evaluate_surrogate(surrogate, tail),
     })
@@ -398,6 +417,14 @@ def _load_model(cfg: dict, train_set):
             f"{trained[1]}, but the data gives features {features} and "
             f"labels {train_set.label_names} (rerun train)")
     return model
+
+
+def _check_max_arity(cfg: dict, section: str, n_features: int):
+    """The part of `section.max_arity`'s range that depends on the data;
+    called before the command reads or writes an artifact."""
+    if (cfg[section]["max_arity"] or 0) > n_features:
+        raise ConfigError(f"{section}.max_arity must be at most the number "
+                          f"of features, {n_features}")
 
 
 def _load_search_inputs(cfg: dict):
@@ -466,28 +493,21 @@ def cmd_optimize(cfg: dict) -> int:
     effects = top_feature_report(model, reference, sc, objective,
                                  k=cfg["search"]["top_k"],
                                  surrogate=surrogate, cache=cache)
-    with (out / TOP_FEATURES_FILE).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "feature", "value", "gamma", "gamma_delta",
-                         "mean_lambda"])
-        for rank, e in enumerate(effects, start=1):
-            meta = train_set.features[e.feature]
-            writer.writerow([
-                rank, meta.name, format_value(meta, e.value), repr(e.gamma),
-                repr(e.gamma_delta),
-                repr(objective.collapse(e.lambda_per_label)),
-            ])
+    rows = []
+    for rank, e in enumerate(effects, start=1):
+        meta = train_set.features[e.feature]
+        rows.append([rank, meta.name, format_value(meta, e.value),
+                     repr(e.gamma), repr(e.gamma_delta),
+                     repr(objective.collapse(e.lambda_per_label))])
+    _write_csv(out / TOP_FEATURES_FILE, ["rank", "feature", "value", "gamma",
+                                         "gamma_delta", "mean_lambda"], rows)
     return 0
 
 
 def _baseline_rows(result: BaselineResult, feature_names) -> list:
-    rows = []
-    for stage in result.stage_trace:
-        rows.append([stage.stage, 1, "", repr(stage.mean_lambda),
-                     format_assignment(stage.assignment, feature_names),
-                     result.method])
-    return rows
+    return [[stage.stage, 1, "", repr(stage.mean_lambda),
+             format_assignment(stage.assignment, feature_names), result.method]
+            for stage in result.stage_trace]
 
 
 def _baseline_doc(result: BaselineResult, feature_names) -> dict:
@@ -501,7 +521,13 @@ def _baseline_doc(result: BaselineResult, feature_names) -> dict:
 
 
 def cmd_baseline(cfg: dict) -> int:
-    _, model, reference, _, feature_names = _load_search_inputs(cfg)
+    # Brute force and the sequential greedy read no surrogate, whatever
+    # search.mode says.
+    train_set, _, _, _ = prepare_data(cfg)
+    _check_max_arity(cfg, "baseline", train_set.n_features)
+    model = _load_model(cfg, train_set)
+    reference = ReferenceSet.from_dataset(train_set)
+    feature_names = [f.name for f in train_set.features]
     objective = _objective(cfg)
     section = cfg["baseline"]
 
@@ -526,12 +552,9 @@ def cmd_baseline(cfg: dict) -> int:
 
     out = _out_dir(cfg)
     write_json(out / BASELINE_REPORT_FILE, report)
-    with (out / BASELINE_TRACE_FILE).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "candidate_rank", "gamma", "mean_lambda",
-                         "assignment", "method"])
-        writer.writerows(rows)
+    _write_csv(out / BASELINE_TRACE_FILE, ["stage", "candidate_rank", "gamma",
+                                           "mean_lambda", "assignment", "method"],
+               rows)
     return 0
 
 
@@ -561,12 +584,9 @@ def cmd_compare(cfg: dict) -> int:
             if key not in merged or better(float(value), float(merged[key])):
                 merged[key] = value
 
-    with (out / COMPARE_FILE).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "method", "mean_lambda"])
-        for stage, method in sorted(merged):
-            writer.writerow([stage, method, merged[(stage, method)]])
+    _write_csv(out / COMPARE_FILE, ["stage", "method", "mean_lambda"],
+               [[stage, method, merged[(stage, method)]]
+                for stage, method in sorted(merged)])
     return 0
 
 
@@ -576,22 +596,17 @@ def cmd_sweep_omega(cfg: dict) -> int:
     sc = _search_config(cfg, reference)
     cache = ScoreCache(model, reference, surrogate)
 
-    out = _out_dir(cfg)
-    with (out / SWEEP_FILE).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "best_mean_lambda", "best_gamma", "assignment"])
-        for omega in cfg["sweep"]["grid"]:
-            sn, _ = run_search(model, reference, replace(sc, omega=omega),
-                               objective, surrogate=surrogate, cache=cache)
-            by_lambda = objective.direction.best(
-                sn, key=lambda c: c.mean_lambda(objective))
-            writer.writerow([
-                repr(omega),
-                repr(by_lambda.mean_lambda(objective)),
-                repr(sn[0].gamma),
-                format_assignment(by_lambda.assignment, feature_names),
-            ])
+    rows = []
+    for omega in cfg["sweep"]["grid"]:
+        sn, _ = run_search(model, reference, replace(sc, omega=omega),
+                           objective, surrogate=surrogate, cache=cache)
+        by_lambda = objective.direction.best(
+            sn, key=lambda c: c.mean_lambda(objective))
+        rows.append([repr(omega), repr(by_lambda.mean_lambda(objective)),
+                     repr(sn[0].gamma),
+                     format_assignment(by_lambda.assignment, feature_names)])
+    _write_csv(_out_dir(cfg) / SWEEP_FILE,
+               ["omega", "best_mean_lambda", "best_gamma", "assignment"], rows)
     return 0
 
 
@@ -612,24 +627,20 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--zeta", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", default=None, help="oracle or surrogate")
-        p.add_argument("--labels", default=None,
-                       help="comma-separated label column names")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--omega", type=float)
+        p.add_argument("--zeta", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--mode", help="oracle or surrogate")
+        p.add_argument("--labels", help="comma-separated label column names")
+        p.add_argument("--out", help="output directory")
     return parser
 
 
 def _overrides(args) -> dict:
     out: dict = {"search": {}, "data": {}}
-    if args.omega is not None:
-        out["search"]["omega"] = args.omega
-    if args.zeta is not None:
-        out["search"]["zeta"] = args.zeta
-    if args.mode is not None:
-        out["search"]["mode"] = args.mode
+    for flag in ("omega", "zeta", "mode"):
+        if getattr(args, flag) is not None:
+            out["search"][flag] = getattr(args, flag)
     if args.seed is not None:
         out["seed"] = args.seed
     if args.labels is not None:

@@ -19,14 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn import MLPModel, forward
-from .sensitivity import (
-    FeatureAssignment,
-    ReferenceSet,
-    clone_and_fix,
-    reference_moments,
-    sensitivity_from_moments,
-)
+from .nn import MLPModel
+from .sensitivity import FeatureAssignment, ReferenceSet, SensitivityKernel
 from .surrogate import predict_sensitivity
 
 TRACE_SCHEMA_VERSION = 1
@@ -68,7 +62,11 @@ class Objective:
 
     def collapse(self, per_label: np.ndarray) -> float:
         """Mean over the objective's labels."""
-        return float(per_label[self.label_indices(per_label.shape[0])].mean())
+        return float(self.collapse_rows(per_label[None, :])[0])
+
+    def collapse_rows(self, per_label: np.ndarray) -> np.ndarray:
+        """`collapse` of each row of a (c, L) array, bit for bit."""
+        return per_label[:, self.label_indices(per_label.shape[1])].mean(axis=1)
 
 
 @dataclass
@@ -141,19 +139,20 @@ def gamma_from(lambda_per_label: np.ndarray, upsilon_per_label: np.ndarray,
 
 def lambda_of(M: MLPModel, T: ReferenceSet, a: FeatureAssignment) -> np.ndarray:
     """Per-label mean prediction over the reference set with `a` enforced."""
-    return forward(M, clone_and_fix(T, a)).mean(axis=0)
+    return SensitivityKernel(M, T).score_assignments([a], upsilon=False)[0][0]
 
 
 class ScoreCache:
     """Lambda and upsilon of one model on one reference, computed once per
-    distinct assignment; upsilon comes from `surrogate` when one is given,
-    else from the exact oracle.
+    distinct assignment through one `SensitivityKernel`; upsilon comes from
+    `surrogate` when one is given, else from the kernel.
 
     Neither depends on omega or the objective, so every search over the
     same inputs can share one cache and re-blend gamma from it. The
     reference's centred predictions and variance are computed on the first
     oracle score, so a degenerate reference raises there, and a cache with
-    a surrogate never computes them.
+    a surrogate never computes them. By the kernel's contract a cached
+    score has the bits a fresh one would have.
     """
 
     def __init__(self, model: MLPModel, reference: ReferenceSet,
@@ -167,7 +166,7 @@ class ScoreCache:
         self.model = model
         self.reference = reference
         self.surrogate = surrogate
-        self._moments = None
+        self.kernel = SensitivityKernel(model, reference)
         self._scores: dict = {}
 
     def serves(self, model: MLPModel, reference: ReferenceSet,
@@ -175,39 +174,40 @@ class ScoreCache:
         return (self.model is model and self.reference is reference
                 and self.surrogate is surrogate)
 
-    def lambda_upsilon(self, assignment: FeatureAssignment) -> tuple:
-        """(lambda, upsilon) per label, both read-only arrays."""
-        key = assignment.key
+    def lambda_upsilon(self, assignments: list) -> list:
+        """(lambda, upsilon) per label for each assignment, all read-only
+        arrays; the ones not seen before are scored in one kernel call."""
         # Only assignments that passed validation are stored, and validity
         # depends on the key alone, so a hit needs no second check.
-        hit = self._scores.get(key)
-        if hit is not None:
-            return hit
-        fixed = forward(self.model, clone_and_fix(self.reference, assignment))
-        lam = fixed.mean(axis=0)
-        if self.surrogate is None:
-            if self._moments is None:
-                self._moments = reference_moments(
-                    forward(self.model, self.reference.features))
-            ups = sensitivity_from_moments(fixed, *self._moments)
-        else:
-            ups = predict_sensitivity(self.surrogate, assignment,
-                                      self.reference)
-        lam.flags.writeable = False
-        ups.flags.writeable = False
-        self._scores[key] = (lam, ups)
-        return lam, ups
+        misses = {}
+        for a in assignments:
+            if a.key not in self._scores:
+                misses.setdefault(a.key, a)
+        if misses:
+            todo = list(misses.values())
+            lam, ups = self.kernel.score_assignments(
+                todo, upsilon=self.surrogate is None)
+            if ups is None:
+                ups = np.array([predict_sensitivity(self.surrogate, a,
+                                                    self.reference)
+                                for a in todo])
+            lam.flags.writeable = False
+            ups.flags.writeable = False
+            for i, key in enumerate(misses):
+                self._scores[key] = (lam[i], ups[i])
+        return [self._scores[a.key] for a in assignments]
 
 
 @dataclass
 class Scorer:
     """Bundles everything needed to turn an assignment into a Candidate.
 
-    Each distinct assignment costs one forward pass over the clone-and-fixed
-    reference, plus one encoded row through `surrogate` when one is given,
-    which then supplies upsilon (lambda still comes from the classifier);
-    `cache` holds the results and may be shared with other Scorers over the
-    same model, reference and surrogate, whatever their omega or objective.
+    Distinct assignments are scored in batches through the cache's
+    `SensitivityKernel`, plus one encoded row each through `surrogate` when
+    one is given, which then supplies upsilon (lambda still comes from the
+    classifier); `cache` holds the results and may be shared with other
+    Scorers over the same model, reference and surrogate, whatever their
+    omega or objective.
     """
 
     model: MLPModel
@@ -225,9 +225,14 @@ class Scorer:
                               "reference or surrogate")
 
     def score(self, assignment: FeatureAssignment) -> Candidate:
-        lam, ups = self.cache.lambda_upsilon(assignment)
-        gamma = gamma_from(lam, ups, self.config.omega, self.objective)
-        return Candidate(assignment, gamma, lam, ups)
+        return self.score_all([assignment])[0]
+
+    def score_all(self, assignments: list) -> list:
+        """One Candidate per assignment, in order."""
+        return [Candidate(a, gamma_from(lam, ups, self.config.omega,
+                                        self.objective), lam, ups)
+                for a, (lam, ups) in zip(assignments,
+                                         self.cache.lambda_upsilon(assignments))]
 
 
 def score_candidate(M: MLPModel, T: ReferenceSet, a: FeatureAssignment,
@@ -246,15 +251,15 @@ def expand(beam: list, config: SearchConfig, scorer: Scorer) -> list:
         arity = len(beam[0].assignment)
         if any(len(c.assignment) != arity for c in beam):
             raise ConfigError("beam members must share one arity")
-    out = []
+    children = []
     for cand in beam:
         taken = cand.assignment.indices
         for j, domain in enumerate(config.value_domains):
             if j in taken:
                 continue
             for v in np.asarray(domain, dtype=np.float64):
-                out.append(scorer.score(cand.assignment.extend(j, float(v))))
-    return out
+                children.append(cand.assignment.extend(j, float(v)))
+    return scorer.score_all(children)
 
 
 def prune(candidates: list, zeta: int) -> list:
@@ -352,14 +357,14 @@ def top_feature_report(M: MLPModel, T: ReferenceSet, config: SearchConfig,
     config.validate(T.n_features)
     scorer = Scorer(M, T, config, objective, surrogate=surrogate, cache=cache)
     gamma_empty = scorer.score(FeatureAssignment.empty()).gamma
+    pairs = [FeatureAssignment.of((j, float(v)))
+             for j, domain in enumerate(config.value_domains)
+             for v in np.asarray(domain, dtype=np.float64)]
     effects = []
-    for j, domain in enumerate(config.value_domains):
-        for v in np.asarray(domain, dtype=np.float64):
-            c = scorer.score(FeatureAssignment.of((j, float(v))))
-            effects.append(FeatureEffect(j, float(v), c.gamma,
-                                         c.gamma - gamma_empty,
-                                         c.lambda_per_label,
-                                         c.upsilon_per_label))
+    for c in scorer.score_all(pairs):
+        (j, v), = c.assignment.pairs
+        effects.append(FeatureEffect(j, v, c.gamma, c.gamma - gamma_empty,
+                                     c.lambda_per_label, c.upsilon_per_label))
     effects.sort(key=lambda e: (-e.gamma, e.feature, e.value))
     return effects[:k]
 

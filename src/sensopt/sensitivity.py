@@ -4,7 +4,9 @@ The score for an assignment is, per output label, the covariance between
 the model's predictions on a clone of the reference set with the assigned
 columns overwritten and its predictions on the untouched reference set,
 divided by the variance of the latter. Fixing nothing scores exactly 1,
-fixing every column scores exactly 0.
+fixing every column scores exactly 0. `SensitivityKernel` is the one
+scoring path; `clone_and_fix` and `sensitivity_from_predictions` are the
+naive form it is checked against.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateReferenceError, DomainError, ShapeError
-from .nn import check_matrix
+from .errors import ConfigError, DegenerateReferenceError, DomainError, ShapeError
+from .nn import Activation, MLPModel, _activate, check_matrix, forward
 
 DEGENERATE_VAR = 1e-12
 
@@ -105,20 +107,42 @@ class ReferenceSet:
         """Per-feature set of the exact domain values, for fast membership."""
         return [frozenset(dom.tolist()) for dom in self.domains]
 
+    @cached_property
+    def distinct_values(self) -> list:
+        """Per-feature sorted distinct reference values; their counts decide
+        whether the scoring kernel groups rows."""
+        return [np.unique(col) for col in self.features.T]
+
+
+def _check_pair(T: ReferenceSet, j: int, v: float):
+    """Index within T's width and value within 1e-12 of a domain entry."""
+    n = T.n_features
+    if j >= n:
+        raise IndexError(f"feature index {j} out of range for {n} features")
+    if T.domains is not None and v not in T.domain_sets[j]:
+        if not np.any(np.abs(T.domains[j] - v) <= 1e-12):
+            raise DomainError(
+                f"value {v!r} not in declared domain of feature {j}"
+            )
+
 
 def validate_assignment(a: FeatureAssignment, T: ReferenceSet):
     """Check indices fit T's width and values lie in declared domains
     (within 1e-12 of a domain entry)."""
-    n = T.n_features
     for j, v in a:
-        if j >= n:
-            raise IndexError(f"feature index {j} out of range for {n} features")
-        if T.domains is not None and v not in T.domain_sets[j]:
-            dom = T.domains[j]
-            if not np.any(np.abs(dom - v) <= 1e-12):
-                raise DomainError(
-                    f"value {v!r} not in declared domain of feature {j}"
-                )
+        _check_pair(T, j, v)
+
+
+def _check_values(T: ReferenceSet, subset: tuple, values: np.ndarray):
+    """validate_assignment for every row of a (c, |J|) batch fixing
+    `subset`, which must hold increasing indices; each distinct value of a
+    column is checked once."""
+    if any(a >= b for a, b in zip(subset, subset[1:])) or min(subset, default=0) < 0:
+        raise ValueError(f"feature subset {subset} is not increasing and "
+                         "non-negative")
+    for i, j in enumerate(subset):
+        for v in set(values[:, i].tolist()):
+            _check_pair(T, j, v)
 
 
 def clone_and_fix(T: ReferenceSet, a: FeatureAssignment) -> np.ndarray:
@@ -136,28 +160,19 @@ def _check_reference_variance(var: np.ndarray):
             raise DegenerateReferenceError(label, float(v))
 
 
-def reference_moments(ref: np.ndarray) -> tuple:
-    """(centred reference predictions, per-label population variance), the
-    half of the score that is the same for every assignment."""
+def sensitivity_from_predictions(fixed: np.ndarray,
+                                 ref: np.ndarray) -> np.ndarray:
+    """Per-label cov(fixed, ref)/var(ref) over matched rows, population form.
+
+    The naive form over whole prediction matrices; the commands score
+    through `SensitivityKernel`, and tests hold it to this within 1e-12."""
+    if fixed.shape != ref.shape:
+        raise ShapeError(
+            f"prediction shapes differ: {fixed.shape} vs {ref.shape}"
+        )
     ct = ref - ref.mean(axis=0)
     var = (ct * ct).mean(axis=0)
     _check_reference_variance(var)
-    return ct, var
-
-
-def sensitivity_from_predictions(fixed: np.ndarray,
-                                 ref: np.ndarray) -> np.ndarray:
-    """Per-label cov(fixed, ref)/var(ref) over matched rows, population form."""
-    return sensitivity_from_moments(fixed, *reference_moments(ref))
-
-
-def sensitivity_from_moments(fixed: np.ndarray, ct: np.ndarray,
-                             var: np.ndarray) -> np.ndarray:
-    """sensitivity_from_predictions against precomputed reference_moments."""
-    if fixed.shape != ct.shape:
-        raise ShapeError(
-            f"prediction shapes differ: {fixed.shape} vs {ct.shape}"
-        )
     cc = fixed - fixed.mean(axis=0)
     cov = (cc * ct).mean(axis=0)
     # A constant column has zero covariance by definition; bypass the tiny
@@ -165,3 +180,181 @@ def sensitivity_from_moments(fixed: np.ndarray, ct: np.ndarray,
     constant = (fixed.max(axis=0) - fixed.min(axis=0)) == 0.0
     cov[constant] = 0.0
     return cov / var
+
+
+class SensitivityKernel:
+    """Lambda and upsilon of one model on one reference, scored one feature
+    subset J at a time over a batch of value rows V (c x |J|).
+
+    With the columns in J fixed, a clone row's prediction depends only on
+    its free columns, so per J the kernel groups the reference rows by
+    their free-column values (one row U per pattern, with counts), sums the
+    centred reference predictions per group (S) and forms the free part of
+    the first layer, P = U @ W1 + b1 with W1's rows for J zeroed.
+    Each value row then costs Q = sum over J of V[:, j] * W1[j]
+    (elementwise, no gemm), z = P + Q and the later layers as stacked
+    (c, u, h) @ W matmuls; lambda = sum(cnt * f) / k,
+    cov = sum((f - lambda) * S) / k, and cov is 0 for a label whose
+    predictions are equal in every group. upsilon = cov / var. Rows are
+    grouped only when the free columns cannot form k distinct patterns
+    (the product of their distinct-value counts is below k); otherwise
+    every row is its own group and nothing is sorted. A batch is cut into
+    chunks of at most k forwarded rows, and J's state is dropped after its
+    batch.
+
+    Numerics contract: an assignment's (lambda, upsilon) bits are a
+    function of the model, the reference and the assignment only, never of
+    the batch it is scored in, the batch's size, the call order or the
+    command. Every switch (grouping, chunk size) depends on J and the
+    reference alone; Q is elementwise and the stacked matmul runs one gemm
+    per value row, so no summation order depends on the batch. The
+    variance is the kernel's own covariance at J = {}, so fixing nothing
+    scores exactly 1, and fixing every column leaves one group, which
+    scores exactly 0. Against the naive clone-and-forward path
+    (`sensitivity_from_predictions`) the numbers agree to rounding only.
+    """
+
+    def __init__(self, model: MLPModel, reference: ReferenceSet):
+        if not model.layers:
+            raise ConfigError("scoring needs a model with at least one layer")
+        if model.n_inputs != reference.n_features:
+            raise ShapeError(
+                f"reference has {reference.n_features} columns, model "
+                f"expects {model.n_inputs}"
+            )
+        self.model = model
+        self.reference = reference
+        self._moments = None
+
+    def _reference_moments(self) -> tuple:
+        """(centred reference predictions, per-label variance), computed on
+        first use; raises DegenerateReferenceError on a flat label."""
+        if self._moments is None:
+            ref = forward(self.model, self.reference.features)
+            ct = ref - ref.mean(axis=0)
+            _, var = self._lambda_cov((), np.empty((1, 0)), ct)
+            _check_reference_variance(var[0])
+            self._moments = ct, var[0]
+        return self._moments
+
+    def lambdas(self, subset, values) -> np.ndarray:
+        """(c, L) lambda of the assignments fixing `subset` (increasing
+        feature indices) to each row of `values`."""
+        return self._lambda_cov(subset, values, None)[0]
+
+    def scores(self, subset, values) -> tuple:
+        """(lambda, upsilon), each (c, L), for the same batch."""
+        ct, var = self._reference_moments()
+        lam, cov = self._lambda_cov(subset, values, ct)
+        return lam, cov / var
+
+    def score_assignments(self, assignments, upsilon: bool = True) -> tuple:
+        """(lambda, upsilon or None) rows in the order of `assignments`, one
+        batch per feature subset."""
+        groups: dict = {}
+        for i, a in enumerate(assignments):
+            groups.setdefault(tuple(j for j, _ in a.key), []).append(i)
+        n_labels = self.model.n_outputs
+        lam = np.empty((len(assignments), n_labels))
+        ups = np.empty_like(lam) if upsilon else None
+        for subset, rows in groups.items():
+            values = np.array([[v for _, v in assignments[i].key] for i in rows],
+                              dtype=np.float64).reshape(len(rows), len(subset))
+            if upsilon:
+                lam[rows], ups[rows] = self.scores(subset, values)
+            else:
+                lam[rows] = self.lambdas(subset, values)
+        return lam, ups
+
+    def _lambda_cov(self, subset, values, ct) -> tuple:
+        T = self.reference
+        subset = tuple(int(j) for j in subset)
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != len(subset):
+            raise ShapeError(f"values of shape {values.shape} for "
+                             f"{len(subset)} fixed features")
+        _check_values(T, subset, values)
+        k = T.features.shape[0]
+        free = [j for j in range(T.n_features) if j not in subset]
+        first = self.model.layers[0]
+
+        # Per-J state: one reference row per free-column pattern (U), the
+        # patterns' counts, the per-group sums S of the centred reference
+        # predictions, and P, the first layer over the free columns (the
+        # rows of W1 for J are zeroed, so U's fixed columns add nothing).
+        counts, S = None, ct
+        if _fewer_patterns_than([len(T.distinct_values[j]) for j in free], k):
+            U, inverse, counts = _patterns(T, free)
+            if ct is not None:
+                S = np.stack([np.bincount(inverse, weights=col,
+                                          minlength=len(U))
+                              for col in ct.T], axis=1)
+        else:
+            U = T.features
+        W_free = first.weights.copy()
+        W_free[list(subset)] = 0.0
+        P = U @ W_free  # (u, h)
+        P += first.biases
+        if S is not None:
+            S = np.ascontiguousarray(S.T)  # (L, u)
+        W_fixed = first.weights[list(subset)]  # (|J|, h)
+
+        c, u = values.shape[0], P.shape[0]
+        lam = np.empty((c, self.model.n_outputs))
+        cov = None if S is None else np.empty_like(lam)
+        step = max(1, k // u)
+        for lo in range(0, c, step):
+            V = values[lo:lo + step]
+            Q = np.zeros((len(V), W_fixed.shape[1]))  # (m, h), no gemm
+            for i, w in enumerate(W_fixed):
+                Q += V[:, i, None] * w
+            a = _activate_in_place(P + Q[:, None, :], first.activation)
+            for layer in self.model.layers[1:]:
+                z = a @ layer.weights
+                z += layer.biases
+                a = _activate_in_place(z, layer.activation)
+            if not np.isfinite(a).all():
+                raise ArithmeticError("forward pass produced non-finite values")
+            f = np.ascontiguousarray(a.transpose(0, 2, 1))  # (m, L, u)
+            mass = f if counts is None else f * counts
+            chunk_lam = mass.sum(axis=2) / k
+            lam[lo:lo + step] = chunk_lam
+            if S is not None:
+                chunk_cov = ((f - chunk_lam[:, :, None]) * S).sum(axis=2) / k
+                chunk_cov[f.max(axis=2) == f.min(axis=2)] = 0.0
+                cov[lo:lo + step] = chunk_cov
+        return lam, cov
+
+
+def _activate_in_place(z: np.ndarray, act: Activation) -> np.ndarray:
+    """nn's activation, bit for bit, reusing z's memory where it can."""
+    if act is Activation.RELU:
+        return np.maximum(z, 0.0, out=z)
+    return _activate(z, act)
+
+
+def _patterns(T: ReferenceSet, free: list) -> tuple:
+    """One reference row per distinct pattern of the `free` columns (in
+    increasing code order), each row's group and the group counts. A
+    pattern is coded as a mixed-radix integer over the columns' distinct
+    values; only called when their count product is below k, so it fits."""
+    code = np.zeros(T.features.shape[0], dtype=np.int64)
+    for j in free:
+        values = T.distinct_values[j]
+        code = code * len(values) + np.searchsorted(values, T.features[:, j])
+    _, first, inverse, counts = np.unique(code, return_index=True,
+                                          return_inverse=True,
+                                          return_counts=True)
+    return (T.features[first], inverse.reshape(-1),
+            counts.astype(np.float64))
+
+
+def _fewer_patterns_than(distinct_counts, k: int) -> bool:
+    """Whether columns with these distinct-value counts must repeat a
+    pattern over k rows (their product is below k)."""
+    product = 1
+    for d in distinct_counts:
+        product *= int(d)
+        if product >= k:
+            return False
+    return True

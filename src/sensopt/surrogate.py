@@ -32,9 +32,7 @@ from .nn import (
 from .sensitivity import (
     FeatureAssignment,
     ReferenceSet,
-    clone_and_fix,
-    reference_moments,
-    sensitivity_from_moments,
+    SensitivityKernel,
     validate_assignment,
 )
 
@@ -125,9 +123,7 @@ def build_distillation_set(model: MLPModel, reference: ReferenceSet,
         raise ConfigError(f"max_arity must be in [1, {n}], got {max_arity}")
 
     rng = np.random.default_rng(seed)
-    ct, var = reference_moments(forward(model, reference.features))
     inputs = np.zeros((n_samples, 2 * n))
-    targets = np.zeros((n_samples, var.shape[0]))
     assignments = []
     for s in range(n_samples):
         arity = int(rng.integers(1, max_arity + 1))
@@ -139,8 +135,8 @@ def build_distillation_set(model: MLPModel, reference: ReferenceSet,
         a = FeatureAssignment(tuple(pairs))
         assignments.append(a)
         inputs[s] = encode(a, reference).stacked
-        targets[s] = sensitivity_from_moments(
-            forward(model, clone_and_fix(reference, a)), ct, var)
+    # Labelled after every draw, one kernel batch per feature subset.
+    _, targets = SensitivityKernel(model, reference).score_assignments(assignments)
     return DistillationSet(inputs, targets, tuple(assignments), seed)
 
 

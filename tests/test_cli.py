@@ -332,6 +332,28 @@ def test_degenerate_reference_exits_4(tmp_path):
     ("optimize", '"search": {"label_subset": [1]}', "search.label_subset"),
     ("optimize", '"search": {"top_k": 0}', "search.top_k"),
     ("sweep-omega", '"sweep": {"grid": [0.5, 1.5]}', "sweep.grid"),
+    ("train", '"data": {"csv": "d.csv", "labels": ["y"], "test_fraction": 5}',
+     "data.test_fraction"),
+    ("train", '"model": {"hidden_dims": [0]}', "model.hidden_dims"),
+    ("train", '"model": {"learning_rate": -0.1}', "model.learning_rate"),
+    ("train", '"model": {"epochs": 0}', "model.epochs"),
+    ("train", '"model": {"batch_size": 0}', "model.batch_size"),
+    ("distill", '"surrogate": {"hidden_dims": [4, 0]}', "surrogate.hidden_dims"),
+    ("distill", '"surrogate": {"learning_rate": -1}', "surrogate.learning_rate"),
+    ("distill", '"surrogate": {"epochs": 0}', "surrogate.epochs"),
+    ("distill", '"surrogate": {"batch_size": -3}', "surrogate.batch_size"),
+    ("distill", '"surrogate": {"n_samples": 0}', "surrogate.n_samples"),
+    ("distill", '"surrogate": {"max_arity": 0}', "surrogate.max_arity"),
+    # the data's feature count bounds max_arity; a split needs 2+ train rows
+    ("distill", '"data": {"csv": "d.csv", "labels": ["y"], "test_fraction": 0.4}, '
+     '"surrogate": {"max_arity": 99}', "surrogate.max_arity"),
+    ("distill", '"surrogate": {"holdout_fraction": 1}',
+     "surrogate.holdout_fraction"),
+    ("optimize", '"search": {"max_depth": -1}', "search.max_depth"),
+    ("baseline", '"baseline": {"max_arity": -1}', "baseline.max_arity"),
+    # the data's feature count bounds max_arity; a split needs 2+ train rows
+    ("baseline", '"data": {"csv": "d.csv", "labels": ["y"], "test_fraction": 0.4}, '
+     '"baseline": {"max_arity": 99}', "baseline.max_arity"),
 ])
 def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command,
                                                     fragment, name):
@@ -354,6 +376,19 @@ def test_label_subset_is_checked_against_the_labels_flag(tmp_path, capsys):
     assert main(["optimize", "--config", str(tmp_path / "c.json"),
                  "--labels", "y"]) == 2
     assert "search.label_subset" in capsys.readouterr().err
+
+
+def test_baseline_in_surrogate_mode_needs_no_surrogate(tmp_path):
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=3, n_samples=40,
+                                             label_count=1, seed=2))
+    save_csv(ds, tmp_path / "data.csv")
+    cfg = {"data": {"csv": "data.csv", "labels": ["label0"]},
+           "model": {"hidden_dims": [4], "epochs": 5}}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(["baseline", "--config", str(p), "--mode", "surrogate"]) == 0
+    assert not (tmp_path / "out" / "surrogate.json").exists()
 
 
 def test_surrogate_distilled_for_other_features_exits_3(tmp_path, capsys):

@@ -1,29 +1,33 @@
 """Property tests: the scoring composites agree with each other.
 
-`lambda_of` (the baselines' path) and `Scorer.score` (the search's path)
-both go through forward(M, clone_and_fix(T, a)), and distillation labels
-through the same reference moments, so their numbers must match bit for
-bit; so must a Scorer whose score cache was filled by another search and a
-fresh one. Loading a config either succeeds or raises ConfigError, whatever
-JSON value a field holds. Examples are derandomized so the suite stays
-deterministic.
+`lambda_of` (the baselines' path), `Scorer.score` (the search's path) and
+distillation labelling all score through `SensitivityKernel`, whose bits
+depend on the assignment alone, never on the batch it is scored in, so
+their numbers must match bit for bit; so must a Scorer whose score cache
+was filled by another search and a fresh one. The kernel agrees with the
+naive clone-and-forward oracle to 1e-12 and keeps the exact boundary
+scores. References are drawn both continuous (every row its own group) and
+categorical (rows grouped by their free columns). Loading a config either
+succeeds or raises ConfigError, whatever JSON value a field holds.
+Examples are derandomized so the suite stays deterministic.
 """
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sensopt import cli
-from sensopt.baseline import brute_force
+from sensopt.baseline import brute_force, enumerate_assignments, enumeration_size
 from sensopt.data import SyntheticSpec, generate_synthetic, save_csv
-from sensopt.errors import ConfigError
-from sensopt.nn import ModelKind, build_model
+from sensopt.errors import ConfigError, DegenerateReferenceError
+from sensopt.nn import ModelKind, build_model, forward
 from sensopt.search import (
     Direction,
     Objective,
@@ -34,7 +38,13 @@ from sensopt.search import (
     lambda_of,
     run_search,
 )
-from sensopt.sensitivity import FeatureAssignment, ReferenceSet
+from sensopt.sensitivity import (
+    FeatureAssignment,
+    ReferenceSet,
+    SensitivityKernel,
+    clone_and_fix,
+    sensitivity_from_predictions,
+)
 from sensopt.surrogate import build_distillation_set
 
 PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
@@ -45,17 +55,25 @@ MAX = Objective(Direction.MAXIMIZE_LABELS)
 @st.composite
 def problems(draw):
     """A small random classifier, a reference set with value domains, and
-    one assignment drawn from those domains."""
+    one assignment drawn from those domains. A categorical reference draws
+    its rows from the domains, so fixing columns leaves repeated rows."""
     n = draw(st.integers(1, 4))
     labels = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     domains = [np.sort(rng.uniform(-1.0, 1.0, size=draw(st.integers(1, 3))))
                for _ in range(n)]
-    reference = ReferenceSet(rng.normal(size=(draw(st.integers(4, 20)), n)),
-                             domains=domains)
+    k = draw(st.integers(4, 20))
+    if draw(st.booleans()):
+        rows = np.stack([rng.choice(dom, size=k) for dom in domains], axis=1)
+    else:
+        rows = rng.normal(size=(k, n))
+    reference = ReferenceSet(rows, domains=domains)
     model = build_model(n, labels, ModelKind.CLASSIFIER,
-                        [draw(st.integers(2, 6))], seed=seed)
+                        draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)),
+                        seed=seed)
+    # upsilon is undefined where a label's reference predictions are flat
+    assume(forward(model, rows).var(axis=0).min() >= 1e-9)
     picks = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
     assignment = FeatureAssignment(tuple(
         (j, float(domains[j][p % len(domains[j])]))
@@ -116,6 +134,77 @@ def test_warm_cache_scores_equal_fresh_scores(problem, omega, warm_omega,
     assert np.array_equal(warm.lambda_per_label, fresh.lambda_per_label)
     assert np.array_equal(warm.upsilon_per_label, fresh.upsilon_per_label)
     assert warm.gamma == fresh.gamma
+
+
+def value_rows(reference, subset):
+    """Every combination of domain values over `subset`, in domain order."""
+    combos = list(itertools.product(*(reference.domains[j] for j in subset)))
+    return np.array(combos).reshape(len(combos), len(subset))
+
+
+@PROPERTY
+@given(problems(), st.integers(1, 4), st.data())
+def test_kernel_bits_do_not_depend_on_the_batch(problem, repeats, data):
+    model, reference, a = problem
+    subset = tuple(sorted(a.indices))
+    rows = np.tile(value_rows(reference, subset), (repeats, 1))
+    kernel = SensitivityKernel(model, reference)
+    try:
+        lam, ups = kernel.scores(subset, rows)
+    except DegenerateReferenceError:
+        assume(False)
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1))
+    # a fresh kernel, another batch size and order, and each row alone
+    sub_lam, sub_ups = SensitivityKernel(model, reference).scores(subset,
+                                                                  rows[picks])
+    assert np.array_equal(sub_lam, lam[picks])
+    assert np.array_equal(sub_ups, ups[picks])
+    for i in picks:
+        one_lam, one_ups = kernel.scores(subset, rows[i:i + 1])
+        assert np.array_equal(one_lam[0], lam[i])
+        assert np.array_equal(one_ups[0], ups[i])
+    assert np.array_equal(kernel.lambdas(subset, rows), lam)
+
+
+@PROPERTY
+@given(problems())
+def test_kernel_agrees_with_the_naive_oracle(problem):
+    model, reference, a = problem
+    ref = forward(model, reference.features)
+    fixed = forward(model, clone_and_fix(reference, a))
+    try:
+        want = sensitivity_from_predictions(fixed, ref)
+    except DegenerateReferenceError:
+        with pytest.raises(DegenerateReferenceError):
+            SensitivityKernel(model, reference).score_assignments([a])
+        return
+    lam, ups = SensitivityKernel(model, reference).score_assignments([a])
+    assert np.all(np.abs(lam[0] - fixed.mean(axis=0)) <= 1e-12)
+    assert np.all(np.abs(ups[0] - want) <= 1e-12)
+
+
+@PROPERTY
+@given(problems())
+def test_upsilon_is_exact_at_the_boundaries(problem):
+    model, reference, _ = problem
+    full = FeatureAssignment(tuple((j, float(dom[-1]))
+                                   for j, dom in enumerate(reference.domains)))
+    kernel = SensitivityKernel(model, reference)
+    try:
+        _, ups = kernel.score_assignments([FeatureAssignment.empty(), full])
+    except DegenerateReferenceError:
+        assume(False)
+    assert np.all(ups[0] == 1.0)
+    assert np.all(ups[1] == 0.0)
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 4), max_size=5), st.data())
+def test_enumeration_count_is_enumeration_size(sizes, data):
+    domains = [np.arange(float(d)) for d in sizes]
+    arity = data.draw(st.integers(0, len(sizes)))
+    assert (len(list(enumerate_assignments(domains, arity)))
+            == enumeration_size(domains, arity))
 
 
 JSON_VALUES = st.recursive(
