@@ -11,6 +11,7 @@ naive form it is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -199,8 +200,10 @@ class SensitivityKernel:
     grouped only when the free columns cannot form k distinct patterns
     (the product of their distinct-value counts is below k); otherwise
     every row is its own group and nothing is sorted. A batch is cut into
-    chunks of at most k forwarded rows, and J's state is dropped after its
-    batch.
+    chunks of at most k forwarded rows. P and every layer's output are
+    written into scratch arrays of k rows that the kernel keeps, so no
+    (k, h) array is allocated per subset or chunk; the rest of J's state is
+    dropped after its batch.
 
     Numerics contract: an assignment's (lambda, upsilon) bits are a
     function of the model, the reference and the assignment only, never of
@@ -225,6 +228,19 @@ class SensitivityKernel:
         self.model = model
         self.reference = reference
         self._moments = None
+        self._scratch = None
+
+    def _buffers(self) -> list:
+        """Flat scratch arrays of k rows: one for P and one per layer's
+        output (P has at most k rows, a chunk at most k forwarded rows).
+        Allocated on first use and reused by every batch, so scoring does
+        not fault in fresh pages for each subset and chunk."""
+        if self._scratch is None:
+            k = self.reference.features.shape[0]
+            self._scratch = [np.empty(k * self.model.layers[0].output_dim)]
+            self._scratch += [np.empty(k * layer.output_dim)
+                              for layer in self.model.layers]
+        return self._scratch
 
     def _reference_moments(self) -> tuple:
         """(centred reference predictions, per-label variance), computed on
@@ -293,24 +309,29 @@ class SensitivityKernel:
             U = T.features
         W_free = first.weights.copy()
         W_free[list(subset)] = 0.0
-        P = U @ W_free  # (u, h)
+        scratch = self._buffers()
+        u, h = U.shape[0], first.output_dim
+        P = np.matmul(U, W_free, out=scratch[0][:u * h].reshape(u, h))
         P += first.biases
         if S is not None:
             S = np.ascontiguousarray(S.T)  # (L, u)
         W_fixed = first.weights[list(subset)]  # (|J|, h)
 
-        c, u = values.shape[0], P.shape[0]
+        c = values.shape[0]
         lam = np.empty((c, self.model.n_outputs))
         cov = None if S is None else np.empty_like(lam)
         step = max(1, k // u)
         for lo in range(0, c, step):
             V = values[lo:lo + step]
-            Q = np.zeros((len(V), W_fixed.shape[1]))  # (m, h), no gemm
+            m = len(V)
+            Q = np.zeros((m, h))  # no gemm
             for i, w in enumerate(W_fixed):
                 Q += V[:, i, None] * w
-            a = _activate_in_place(P + Q[:, None, :], first.activation)
-            for layer in self.model.layers[1:]:
-                z = a @ layer.weights
+            z = np.add(P, Q[:, None, :], out=_view(scratch[1], m, u, h))
+            a = _activate_in_place(z, first.activation)
+            for layer, buffer in zip(self.model.layers[1:], scratch[2:]):
+                z = np.matmul(a, layer.weights,
+                              out=_view(buffer, m, u, layer.output_dim))
                 z += layer.biases
                 a = _activate_in_place(z, layer.activation)
             if not np.isfinite(a).all():
@@ -324,6 +345,11 @@ class SensitivityKernel:
                 chunk_cov[f.max(axis=2) == f.min(axis=2)] = 0.0
                 cov[lo:lo + step] = chunk_cov
         return lam, cov
+
+
+def _view(buffer: np.ndarray, *shape) -> np.ndarray:
+    """The leading part of a flat scratch buffer as a C-contiguous array."""
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _activate_in_place(z: np.ndarray, act: Activation) -> np.ndarray:
