@@ -116,20 +116,32 @@ def load_csv(path, label_columns: list[str]) -> Dataset:
     """Read a UTF-8 comma-separated file with a header row.
 
     `label_columns` name the binary target columns; every other column
-    becomes a feature. Missing cells, ragged rows, and non-binary labels
-    are rejected with the offending location.
+    becomes a feature. Bytes that are not UTF-8, a field past the csv
+    module's size limit, repeated header names, missing cells, ragged rows
+    and non-binary labels are rejected with the offending location.
     """
     p = Path(path)
     if not p.exists():
         raise DataError(f"no such file: {p}")
     with p.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{p}: not UTF-8 text ({e.reason})") from None
+        except csv.Error as e:
+            raise DataError(f"{p}: unreadable CSV at line {reader.line_num}: "
+                            f"{e}") from None
     if not rows:
         raise DataError(f"{p}: empty file, header row required")
     header = rows[0]
     body = rows[1:]
     if not body:
         raise DataError(f"{p}: no data rows")
+    repeated = sorted({name for i, name in enumerate(header)
+                       if name in header[:i]})
+    if repeated:
+        raise DataError(f"{p}: header repeats column names: {repeated}")
 
     missing = [c for c in label_columns if c not in header]
     if missing:
@@ -266,15 +278,26 @@ class Scaler:
     maxs: np.ndarray
     domains: list[np.ndarray]
 
-    def _scale_column(self, j: int, col: np.ndarray) -> np.ndarray:
-        span = self.maxs[j] - self.mins[j]
-        if span == 0.0:
-            return np.zeros_like(col)
-        return (col - self.mins[j]) / span
+    def _scale_column(self, j: int, col: np.ndarray, name: str) -> np.ndarray:
+        """Column j mapped by the training range; a value that overflows
+        float64 on the way (a huge cell, or a range wider than the largest
+        float) raises DataError naming the column."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = self.maxs[j] - self.mins[j]
+            if span == 0.0:
+                return np.zeros_like(col)
+            scaled = (col - self.mins[j]) / span
+        if not np.isfinite(scaled).all():
+            raise DataError(
+                f"column {name!r} overflows when scaled to its training range "
+                f"[{float(self.mins[j])!r}, {float(self.maxs[j])!r}]"
+            )
+        return scaled
 
     def transform(self, dataset: Dataset) -> Dataset:
         X = np.column_stack(
-            [self._scale_column(j, dataset.X[:, j]) for j in range(dataset.n_features)]
+            [self._scale_column(j, dataset.X[:, j], meta.name)
+             for j, meta in enumerate(dataset.features)]
         )
         metas = [
             replace(meta, domain=self.domains[j])
@@ -289,9 +312,10 @@ def fit_scaler(train: Dataset) -> Scaler:
     scaler = Scaler(mins, maxs, [])
     for j, meta in enumerate(train.features):
         if meta.kind is FeatureKind.CATEGORICAL:
-            dom = scaler._scale_column(j, meta.domain)
+            dom = scaler._scale_column(j, meta.domain, meta.name)
         else:
-            dom = quantile_domain(scaler._scale_column(j, train.X[:, j]))
+            dom = quantile_domain(scaler._scale_column(j, train.X[:, j],
+                                                       meta.name))
         scaler.domains.append(np.unique(dom))
     return scaler
 

@@ -3,11 +3,21 @@
 Two flavours share one representation: a sigmoid-output multi-label
 classifier and a linear-output regressor. Everything is plain numpy,
 trained with seeded mini-batch SGD so results are bit-reproducible.
+
+Training runs one SGD step (`_SGDStep`), the only backward pass, over a
+flat parameter vector and buffers allocated once per call. Its contract is
+bit identity with the textbook loop: per batch, run forward, take the
+clamped mean loss, backpropagate, then subtract learning_rate * grad from
+each array. Every weight, bias and per-epoch loss comes out with the same
+bits, so model.json does not depend on how the step is organised. One
+branch-free sigmoid (`_sigmoid`) serves `forward`, training and the
+sensitivity kernel.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -146,42 +156,35 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the logistic function of z into `out` (not z) and return it;
+    z is overwritten as workspace.
+
+    Branch-free: with e = exp(-|z|) the result is exp(min(z, 0)) / (1 + e),
+    whose numerator is 1 where z >= 0 and e elsewhere. That is bit for bit
+    the two-sided form 1 / (1 + exp(-z)) for z >= 0 and
+    exp(z) / (1 + exp(z)) below, on every input but NaN (+-inf and +-0
+    included), and it needs no mask or temporary array.
+    """
+    np.abs(z, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    return np.divide(z, out, out=out)
 
 
-def _activate(z: np.ndarray, act: Activation) -> np.ndarray:
+def _activate(z: np.ndarray, act: Activation,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Apply `act` to the pre-activation z in z's memory where it can: ReLU
+    and identity return z itself; sigmoid writes into `out` (a new array
+    when None) and overwrites z."""
     if act is Activation.RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if act is Activation.SIGMOID:
-        return _sigmoid(z)
+        return _sigmoid(z, np.empty_like(z) if out is None else out)
     return z
-
-
-def _activation_grad(z: np.ndarray, a: np.ndarray, act: Activation) -> np.ndarray:
-    if act is Activation.RELU:
-        return (z > 0).astype(np.float64)
-    if act is Activation.SIGMOID:
-        return a * (1.0 - a)
-    return np.ones_like(z)
-
-
-def _forward_pass(model: MLPModel, X: np.ndarray):
-    """Return (pre-activations, activations); activations[0] is X."""
-    zs = []
-    acts = [X]
-    a = X
-    for layer in model.layers:
-        z = a @ layer.weights + layer.biases
-        a = _activate(z, layer.activation)
-        zs.append(z)
-        acts.append(a)
-    return zs, acts
 
 
 def forward(model: MLPModel, inputs) -> np.ndarray:
@@ -197,11 +200,14 @@ def forward(model: MLPModel, inputs) -> np.ndarray:
         raise ShapeError(
             f"input has {X.shape[1]} columns, model expects {model.n_inputs}"
         )
-    _, acts = _forward_pass(model, X)
-    out = acts[-1]
-    if not np.isfinite(out).all():
+    a = X
+    for layer in model.layers:
+        z = a @ layer.weights
+        z += layer.biases
+        a = _activate(z, layer.activation)
+    if not np.isfinite(a).all():
         raise ArithmeticError("forward pass produced non-finite values")
-    return out
+    return a
 
 
 def bce_loss(predictions, targets) -> float:
@@ -212,7 +218,7 @@ def bce_loss(predictions, targets) -> float:
         raise ShapeError(f"shape mismatch: {p.shape} vs {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("bce targets must be binary (0 or 1)")
-    return _raw_loss(p, y, LossKind.BCE)
+    return float(np.mean(_loss_terms(p, y, LossKind.BCE)))
 
 
 def mse_loss(predictions, targets) -> float:
@@ -221,114 +227,228 @@ def mse_loss(predictions, targets) -> float:
     y = check_matrix(targets, "targets")
     if p.shape != y.shape:
         raise ShapeError(f"shape mismatch: {p.shape} vs {y.shape}")
-    return _raw_loss(p, y, LossKind.MSE)
+    return float(np.mean(_loss_terms(p, y, LossKind.MSE)))
 
 
-def _raw_loss(P, Y, loss: LossKind) -> float:
-    """Loss without finiteness validation; a diverged run must yield a
-    non-finite number here rather than a shape/value error."""
+def _loss_terms(P, Y, loss: LossKind) -> np.ndarray:
+    """Per-element loss terms, whose mean is the loss. No finiteness
+    validation: a diverged run must yield a non-finite number here rather
+    than a shape/value error. BCE's terms are the negated log-likelihoods
+    -(y log p + (1 - y) log(1 - p)) with p clamped; for y in {0, 1} each
+    log-likelihood is strictly negative, so no sum of them cancels to a
+    signed zero and their mean is bit for bit minus the log-likelihoods'
+    mean."""
     if loss is LossKind.BCE:
         pc = np.clip(P, BCE_EPS, 1.0 - BCE_EPS)
-        terms = Y * np.log(pc) + (1.0 - Y) * np.log(1.0 - pc)
-        return float(-np.mean(terms))
+        return -(Y * np.log(pc) + (1.0 - Y) * np.log(1.0 - pc))
     d = P - Y
-    return float(np.mean(d * d))
+    return d * d
 
 
-def _backward(model: MLPModel, X, Y, loss: LossKind):
-    """One forward/backward sweep; returns (loss value, per-layer grads)."""
-    zs, acts = _forward_pass(model, X)
-    P = acts[-1]
-    value = _raw_loss(P, Y, loss)
-    n_elem = P.size
-
-    if loss is LossKind.BCE:
-        if model.layers[-1].activation is not Activation.SIGMOID:
-            raise ConfigError("bce loss requires a sigmoid output layer")
-        # d(loss)/dz for sigmoid+BCE collapses to (p - y) / N.
-        delta = (P - Y) / n_elem
-    else:
-        dP = 2.0 * (P - Y) / n_elem
-        delta = dP * _activation_grad(zs[-1], P, model.layers[-1].activation)
-
-    grads = [None] * len(model.layers)
-    for k in range(len(model.layers) - 1, -1, -1):
-        a_prev = acts[k]
-        grads[k] = (a_prev.T @ delta, delta.sum(axis=0))
-        if k > 0:
-            delta = (delta @ model.layers[k].weights.T) * _activation_grad(
-                zs[k - 1], acts[k], model.layers[k - 1].activation
-            )
-    return value, grads
-
-
-def loss_gradients(model: MLPModel, X, Y, loss: LossKind | None = None):
-    """Analytic gradients of the loss w.r.t. every weight and bias.
-
-    Returns a list of (dW, db) pairs, one per layer. The loss defaults to
-    BCE for classifiers and MSE for regressors.
-    """
+def _check_training_data(model: MLPModel, X, Y) -> tuple:
+    """(X, Y) as finite float64 matrices matching the model's dimensions."""
     X = check_matrix(X, "X")
     Y = check_matrix(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
-    if loss is None:
-        loss = LossKind.BCE if model.kind is ModelKind.CLASSIFIER else LossKind.MSE
+    if X.shape[1] != model.n_inputs:
+        raise ShapeError(
+            f"X has {X.shape[1]} columns, model expects {model.n_inputs}"
+        )
+    if Y.shape[1] != model.n_outputs:
+        raise ShapeError(
+            f"Y has {Y.shape[1]} columns, model outputs {model.n_outputs}"
+        )
+    return X, Y
+
+
+class _SGDStep:
+    """The gradient of one batch's loss, the only backward pass.
+
+    Every weight and bias is held in one flat vector `theta` (layer by
+    layer, W then b) and the gradient in one flat `grad` of the same
+    layout, so an update is two calls whatever the depth. Each batch size
+    gets its own buffers for every layer's pre-activation (which ReLU
+    overwrites in place, and which sigmoid uses as workspace), sigmoid
+    output, delta and ReLU mask, and every result is written into them, so
+    a step allocates no arrays. The output layer is written into the P the
+    caller passes. The arithmetic is the textbook one, operation for
+    operation: delta = (P - Y) / N for sigmoid with BCE,
+    2 (P - Y) / N times the output's derivative for MSE, dW = a_prev.T @
+    delta, db = delta summed over rows, and delta @ W.T times the previous
+    layer's derivative ((a > 0) for ReLU, which equals (z > 0); a (1 - a)
+    for sigmoid; nothing for identity).
+    """
+
+    def __init__(self, model: MLPModel, loss: LossKind):
+        final = model.layers[-1].activation
+        if loss is LossKind.BCE and final is not Activation.SIGMOID:
+            raise ConfigError("bce loss requires a sigmoid output layer")
+        self.loss = loss
+        self.activations = [layer.activation for layer in model.layers]
+        self.theta = np.concatenate([p.ravel() for layer in model.layers
+                                     for p in (layer.weights, layer.biases)])
+        self.grad = np.empty_like(self.theta)
+        self.params = _layer_views(self.theta, model)
+        self.grads = _layer_views(self.grad, model)
+        self._buffers = {}
+
+    def _buffers_for(self, size: int) -> list:
+        if size not in self._buffers:
+            self._buffers[size] = [
+                (np.empty((size, W.shape[1])), np.empty((size, W.shape[1])),
+                 np.empty((size, W.shape[1])),
+                 np.empty((size, W.shape[1]), dtype=bool))
+                for W, _ in self.params]
+        return self._buffers[size]
+
+    def gradient(self, X, Y, P):
+        """Run the batch X forward, writing the output layer into P, and
+        backpropagate the loss against Y into `grad`."""
+        buffers = self._buffers_for(X.shape[0])
+        last = len(self.params) - 1
+        acts = [X]
+        for k, (W, b) in enumerate(self.params):
+            z, out, _, _ = buffers[k]
+            act = self.activations[k]
+            if k == last:
+                out = P
+                if act is not Activation.SIGMOID:
+                    z = P
+            np.matmul(acts[k], W, out=z)
+            z += b
+            acts.append(_activate(z, act, out))
+
+        delta = buffers[last][2]
+        np.subtract(P, Y, out=delta)
+        if self.loss is LossKind.MSE:
+            np.multiply(delta, 2.0, out=delta)
+        np.divide(delta, P.size, out=delta)
+        if self.loss is LossKind.MSE and self.activations[last] is Activation.SIGMOID:
+            _times_sigmoid_grad(delta, P, buffers[last][0])
+        for k in range(last, -1, -1):
+            delta = buffers[k][2]
+            dW, db = self.grads[k]
+            np.matmul(acts[k].T, delta, out=dW)
+            np.add.reduce(delta, axis=0, out=db)
+            if k:
+                work, _, below, mask = buffers[k - 1]
+                np.matmul(delta, self.params[k][0].T, out=below)
+                act = self.activations[k - 1]
+                if act is Activation.RELU:
+                    np.greater(acts[k], 0.0, out=mask)
+                    np.multiply(below, mask, out=below)
+                elif act is Activation.SIGMOID:
+                    _times_sigmoid_grad(below, acts[k], work)
+
+    def write_back(self, model: MLPModel):
+        """Copy theta into the model's own weight and bias arrays."""
+        for layer, (W, b) in zip(model.layers, self.params):
+            layer.weights[...] = W
+            layer.biases[...] = b
+
+
+def _layer_views(flat: np.ndarray, model: MLPModel) -> list:
+    """(W, b) views of a flat parameter-shaped vector, one pair per layer."""
+    views, lo = [], 0
+    for layer in model.layers:
+        n_in, n_out = layer.weights.shape
+        W = flat[lo:lo + n_in * n_out].reshape(n_in, n_out)
+        lo += n_in * n_out
+        views.append((W, flat[lo:lo + n_out]))
+        lo += n_out
+    return views
+
+
+def _times_sigmoid_grad(delta, a, work):
+    """delta *= a * (1 - a), the sigmoid's derivative at output a."""
+    np.subtract(1.0, a, out=work)
+    np.multiply(a, work, out=work)
+    np.multiply(delta, work, out=delta)
+
+
+def loss_gradients(model: MLPModel, X, Y, loss: LossKind | None = None):
+    """Analytic gradients of the loss w.r.t. every weight and bias, from
+    one SGD step over the whole of (X, Y).
+
+    Returns a list of (dW, db) pairs, one per layer. The loss defaults to
+    BCE for classifiers and MSE for regressors.
+    """
     if not model.layers:
         return []
-    _, grads = _backward(model, X, Y, loss)
-    return grads
+    X, Y = _check_training_data(model, X, Y)
+    if loss is None:
+        loss = LossKind.BCE if model.kind is ModelKind.CLASSIFIER else LossKind.MSE
+    step = _SGDStep(model, loss)
+    with np.errstate(all="ignore"):
+        step.gradient(X, Y, np.empty(Y.shape))
+    return step.grads
 
 
 def train(model: MLPModel, X, Y, cfg: TrainConfig):
     """Mini-batch SGD, in place. Returns (model, TrainReport).
 
     Deterministic given cfg.seed: the seed drives epoch shuffling only
-    (initialization is seeded in build_model).
+    (initialization is seeded in build_model). Each epoch gathers X and Y
+    in its shuffled order once, so a batch is a contiguous slice, and runs
+    one `_SGDStep` per batch followed by theta -= learning_rate * grad.
+    Every weight, bias and loss equals, bit for bit, the textbook loop that
+    takes each batch forward, computes its mean loss, backpropagates and
+    then updates each array (tests/test_properties.py holds train to one).
+
+    The loss curve (`epoch_losses`, train_metrics.json's `loss_curve`) is
+    computed once per epoch from the batch outputs, which the step writes
+    into one epoch-long array: each batch's mean loss under the weights it
+    ran with, weighted by its rows, in batch order.
+    Divergence is therefore found at the end of an epoch. It is reported as
+    that epoch with the loss of its first batch whose loss is not finite,
+    or with the epoch's mean loss when only the weights went non-finite;
+    either way the weights have by then taken the rest of the epoch's steps.
     """
     cfg.validate()
     if not model.layers:
         raise ConfigError("cannot train a model with no layers")
-    X = check_matrix(X, "X")
-    Y = check_matrix(Y, "Y")
-    m = X.shape[0]
-    if X.shape[0] != Y.shape[0]:
-        raise ShapeError(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
-    if model.layers and X.shape[1] != model.n_inputs:
-        raise ShapeError(
-            f"X has {X.shape[1]} columns, model expects {model.n_inputs}"
-        )
-    if model.layers and Y.shape[1] != model.n_outputs:
-        raise ShapeError(
-            f"Y has {Y.shape[1]} columns, model outputs {model.n_outputs}"
-        )
-    if cfg.batch_size > m:
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds sample count {m}")
+    X, Y = _check_training_data(model, X, Y)
+    m, size = X.shape[0], cfg.batch_size
+    if size > m:
+        raise ConfigError(f"batch_size {size} exceeds sample count {m}")
     if cfg.loss is LossKind.BCE and not np.all((Y == 0.0) | (Y == 1.0)):
         raise ValueError("bce training targets must be binary")
 
+    step = _SGDStep(model, cfg.loss)
     rng = np.random.default_rng(cfg.seed)
+    # C-ordered whatever the inputs' order, like the rows X[order] gathers.
+    Xe, Ye, Pe = np.empty(X.shape), np.empty(Y.shape), np.empty(Y.shape)
+    starts = range(0, m, size)
     epoch_losses = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(m)
-        total = 0.0
-        for start in range(0, m, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            with np.errstate(all="ignore"):
-                value, grads = _backward(model, X[idx], Y[idx], cfg.loss)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(epoch, value)
-            total += value * len(idx)
-            for layer, (dW, db) in zip(model.layers, grads):
-                layer.weights -= cfg.learning_rate * dW
-                layer.biases -= cfg.learning_rate * db
-        mean_loss = total / m
-        if not np.isfinite(mean_loss) or not all(
-            np.isfinite(l.weights).all() and np.isfinite(l.biases).all()
-            for l in model.layers
-        ):
-            raise TrainingDivergedError(epoch, mean_loss)
-        epoch_losses.append(float(mean_loss))
+    try:
+        with np.errstate(all="ignore"):
+            for epoch in range(cfg.epochs):
+                order = rng.permutation(m)
+                # order is a permutation, so "clip" never clips; it spares
+                # the temporary copy that mode "raise" makes of `out`.
+                np.take(X, order, axis=0, out=Xe, mode="clip")
+                np.take(Y, order, axis=0, out=Ye, mode="clip")
+                for lo in starts:
+                    step.gradient(Xe[lo:lo + size], Ye[lo:lo + size],
+                                  Pe[lo:lo + size])
+                    step.grad *= cfg.learning_rate
+                    step.theta -= step.grad
+                terms = _loss_terms(Pe, Ye, cfg.loss)
+                total = 0.0
+                for lo in starts:
+                    # np.mean's arithmetic: the block's pairwise sum / size
+                    block = terms[lo:lo + size]
+                    value = float(np.add.reduce(block, axis=None) / block.size)
+                    if not math.isfinite(value):
+                        raise TrainingDivergedError(epoch, value)
+                    total += value * block.shape[0]
+                mean_loss = total / m
+                if not math.isfinite(mean_loss) or not np.isfinite(step.theta).all():
+                    raise TrainingDivergedError(epoch, mean_loss)
+                epoch_losses.append(mean_loss)
+    finally:
+        step.write_back(model)
     return model, TrainReport(epoch_losses)
 
 

@@ -200,10 +200,11 @@ class SensitivityKernel:
     grouped only when the free columns cannot form k distinct patterns
     (the product of their distinct-value counts is below k); otherwise
     every row is its own group and nothing is sorted. A batch is cut into
-    chunks of at most k forwarded rows. P and every layer's output are
-    written into scratch arrays of k rows that the kernel keeps, so no
-    (k, h) array is allocated per subset or chunk; the rest of J's state is
-    dropped after its batch.
+    chunks of at most k forwarded rows. P, every layer's pre-activation
+    and each sigmoid's output (nn's branch-free sigmoid) are written into
+    scratch arrays of k rows that the kernel keeps, so no (k, h) array is
+    allocated per subset or chunk; the rest of J's state is dropped after
+    its batch.
 
     Numerics contract: an assignment's (lambda, upsilon) bits are a
     function of the model, the reference and the assignment only, never of
@@ -231,15 +232,19 @@ class SensitivityKernel:
         self._scratch = None
 
     def _buffers(self) -> list:
-        """Flat scratch arrays of k rows: one for P and one per layer's
-        output (P has at most k rows, a chunk at most k forwarded rows).
-        Allocated on first use and reused by every batch, so scoring does
-        not fault in fresh pages for each subset and chunk."""
+        """Flat scratch arrays of k rows: one for P, one per layer's
+        pre-activation and one for a sigmoid's output (P has at most k rows,
+        a chunk at most k forwarded rows). Allocated on first use and reused
+        by every batch, so scoring does not fault in fresh pages for each
+        subset and chunk."""
         if self._scratch is None:
             k = self.reference.features.shape[0]
-            self._scratch = [np.empty(k * self.model.layers[0].output_dim)]
-            self._scratch += [np.empty(k * layer.output_dim)
-                              for layer in self.model.layers]
+            layers = self.model.layers
+            self._scratch = [np.empty(k * layers[0].output_dim)]
+            self._scratch += [np.empty(k * layer.output_dim) for layer in layers]
+            self._scratch.append(np.empty(k * max(
+                (layer.output_dim for layer in layers
+                 if layer.activation is Activation.SIGMOID), default=0)))
         return self._scratch
 
     def _reference_moments(self) -> tuple:
@@ -328,12 +333,12 @@ class SensitivityKernel:
             for i, w in enumerate(W_fixed):
                 Q += V[:, i, None] * w
             z = np.add(P, Q[:, None, :], out=_view(scratch[1], m, u, h))
-            a = _activate_in_place(z, first.activation)
-            for layer, buffer in zip(self.model.layers[1:], scratch[2:]):
+            a = _activate_in_place(z, first.activation, scratch[-1])
+            for layer, buffer in zip(self.model.layers[1:], scratch[2:-1]):
                 z = np.matmul(a, layer.weights,
                               out=_view(buffer, m, u, layer.output_dim))
                 z += layer.biases
-                a = _activate_in_place(z, layer.activation)
+                a = _activate_in_place(z, layer.activation, scratch[-1])
             if not np.isfinite(a).all():
                 raise ArithmeticError("forward pass produced non-finite values")
             f = np.ascontiguousarray(a.transpose(0, 2, 1))  # (m, L, u)
@@ -352,11 +357,12 @@ def _view(buffer: np.ndarray, *shape) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _activate_in_place(z: np.ndarray, act: Activation) -> np.ndarray:
-    """nn's activation, bit for bit, reusing z's memory where it can."""
-    if act is Activation.RELU:
-        return np.maximum(z, 0.0, out=z)
-    return _activate(z, act)
+def _activate_in_place(z: np.ndarray, act: Activation,
+                       spare: np.ndarray) -> np.ndarray:
+    """nn's activation of z, bit for bit, in z's memory; a sigmoid, which
+    needs a second array, writes into the leading part of `spare`."""
+    out = _view(spare, *z.shape) if act is Activation.SIGMOID else None
+    return _activate(z, act, out)
 
 
 def _patterns(T: ReferenceSet, free: list) -> tuple:

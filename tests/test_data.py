@@ -74,6 +74,28 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, "y\n0\n", "g.csv"), ["y"])
 
 
+def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"\xff\xfe,b,label0\n1,2,0\n")
+    with pytest.raises(DataError, match="not UTF-8") as err:
+        load_csv(p, ["label0"])
+    assert str(p) in str(err.value)
+
+
+def test_load_csv_rejects_a_field_past_the_size_limit(tmp_path):
+    p = write(tmp_path, "a,b,label0\n" + "x" * 200_000 + ",1,0\n")
+    with pytest.raises(DataError, match="line 2: field larger") as err:
+        load_csv(p, ["label0"])
+    assert str(p) in str(err.value)
+
+
+def test_load_csv_rejects_repeated_header_names(tmp_path):
+    # the second label0 would otherwise be trained on as a feature
+    p = write(tmp_path, "a,label0,label0\n1,0,1\n2,1,0\n")
+    with pytest.raises(DataError, match=r"repeats column names: \['label0'\]"):
+        load_csv(p, ["label0"])
+
+
 def test_save_csv_round_trip(tmp_path):
     p = write(tmp_path, "age,color,y\n1.5,red,0\n2.5,blue,1\n3.5,red,1\n")
     ds = load_csv(p, ["y"])
@@ -148,6 +170,19 @@ def test_scaler_maps_train_to_unit_box():
     assert scaled.X.min() >= 0.0 and scaled.X.max() <= 1.0
     assert scaled.X.min(axis=0).tolist() == [0.0, 0.0]
     assert scaled.X.max(axis=0).tolist() == [1.0, 1.0]
+
+
+def test_scaler_names_a_column_that_overflows():
+    # a test row far outside a narrow training range, and a training range
+    # wider than the largest float, both leave float64 when scaled
+    metas = [FeatureMeta("big", FeatureKind.CONTINUOUS, np.array([0.0, 1.0]))]
+    narrow = Dataset(np.array([[0.0], [0.5]]), np.zeros((2, 1)), metas, ["y"])
+    far = Dataset(np.array([[1e308]]), np.zeros((1, 1)), metas, ["y"])
+    with pytest.raises(DataError, match="column 'big' overflows"):
+        fit_scaler(narrow).transform(far)
+    wide = Dataset(np.array([[-1e308], [1e308]]), np.zeros((2, 1)), metas, ["y"])
+    with pytest.raises(DataError, match="column 'big' overflows"):
+        fit_scaler(wide)
 
 
 def test_scaler_constant_column_and_domains():

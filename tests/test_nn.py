@@ -22,6 +22,7 @@ from sensopt.nn import (
     save_model,
     train,
 )
+from sensopt.nn import _sigmoid
 
 
 def tiny_classifier():
@@ -204,6 +205,50 @@ def test_train_divergence_names_epoch():
         train(model, X, Y, cfg)
     assert "epoch" in str(err.value)
     assert err.value.epoch >= 0
+
+
+def test_train_updates_the_layers_own_arrays():
+    # training runs on one flat parameter vector; the model's arrays are
+    # updated in place and share no memory with it or with each other
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(12, 3))
+    Y = (rng.random((12, 2)) < 0.5).astype(float)
+    model = build_model(3, 2, ModelKind.CLASSIFIER, [4, 3], seed=1)
+    arrays = [a for l in model.layers for a in (l.weights, l.biases)]
+    before = [a.copy() for a in arrays]
+    train(model, X, Y, TrainConfig(epochs=2, batch_size=5, seed=0))
+    after = [a for l in model.layers for a in (l.weights, l.biases)]
+    assert all(a is b for a, b in zip(arrays, after))
+    assert not any(np.array_equal(a, b) for a, b in zip(after, before))
+    assert all(a.base is None for a in after)
+    snapshot = [a.copy() for a in after]
+    forward(model, X)
+    assert all(np.array_equal(a, b) for a, b in zip(after, snapshot))
+
+
+def test_bce_training_needs_a_sigmoid_output():
+    rng = np.random.default_rng(0)
+    model = build_model(2, 1, ModelKind.REGRESSOR, [3], seed=0)
+    with pytest.raises(ConfigError, match="sigmoid output"):
+        train(model, rng.normal(size=(4, 2)), np.zeros((4, 1)),
+              TrainConfig(batch_size=2, loss=LossKind.BCE))
+
+
+def test_sigmoid_equals_the_two_sided_form():
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, bit for bit,
+    # including the infinities, signed zeros, subnormals and saturation
+    rng = np.random.default_rng(4)
+    special = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1e-300,
+               36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308]
+    for scale in (1.0, 30.0, 800.0):
+        z = np.concatenate([special, rng.normal(size=500) * scale])
+        pos = z >= 0
+        want = np.empty_like(z)
+        with np.errstate(over="ignore"):
+            want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            want[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+            got = _sigmoid(z.copy(), np.empty_like(z))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_train_config_validation():

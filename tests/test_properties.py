@@ -7,9 +7,12 @@ their numbers must match bit for bit; so must a Scorer whose score cache
 was filled by another search and a fresh one. The kernel agrees with the
 naive clone-and-forward oracle to 1e-12 and keeps the exact boundary
 scores. References are drawn both continuous (every row its own group) and
-categorical (rows grouped by their free columns). Loading a config either
-succeeds or raises ConfigError, whatever JSON value a field holds.
-Examples are derandomized so the suite stays deterministic.
+categorical (rows grouped by their free columns). `train` equals, bit for
+bit, a textbook SGD loop written out here, divergence included. Loading a
+config either succeeds or raises ConfigError, whatever JSON value a field
+holds; `save_csv` then `load_csv` gives back the dataset, and no CSV bytes
+make `train` exit 1. Examples are derandomized so the suite stays
+deterministic.
 """
 
 import csv
@@ -25,9 +28,29 @@ from hypothesis import strategies as st
 
 from sensopt import cli
 from sensopt.baseline import brute_force, enumerate_assignments, enumeration_size
-from sensopt.data import SyntheticSpec, generate_synthetic, save_csv
-from sensopt.errors import ConfigError, DegenerateReferenceError
-from sensopt.nn import ModelKind, build_model, forward
+from sensopt.data import (
+    Dataset,
+    FeatureKind,
+    FeatureMeta,
+    SyntheticSpec,
+    _parse_float,
+    generate_synthetic,
+    load_csv,
+    quantile_domain,
+    save_csv,
+)
+from sensopt.errors import ConfigError, DegenerateReferenceError, TrainingDivergedError
+from sensopt.nn import (
+    Activation,
+    Layer,
+    LossKind,
+    MLPModel,
+    ModelKind,
+    TrainConfig,
+    build_model,
+    forward,
+    train,
+)
 from sensopt.search import (
     Direction,
     Objective,
@@ -54,9 +77,10 @@ MAX = Objective(Direction.MAXIMIZE_LABELS)
 
 @st.composite
 def problems(draw):
-    """A small random classifier, a reference set with value domains, and
-    one assignment drawn from those domains. A categorical reference draws
-    its rows from the domains, so fixing columns leaves repeated rows."""
+    """A small random classifier (ReLU, sigmoid or identity hidden layers),
+    a reference set with value domains, and one assignment drawn from those
+    domains. A categorical reference draws its rows from the domains, so
+    fixing columns leaves repeated rows."""
     n = draw(st.integers(1, 4))
     labels = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**16))
@@ -69,9 +93,13 @@ def problems(draw):
     else:
         rows = rng.normal(size=(k, n))
     reference = ReferenceSet(rows, domains=domains)
-    model = build_model(n, labels, ModelKind.CLASSIFIER,
+    built = build_model(n, labels, ModelKind.CLASSIFIER,
                         draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)),
                         seed=seed)
+    model = MLPModel([Layer(layer.weights, layer.biases,
+                            draw(st.sampled_from(list(Activation))))
+                      for layer in built.layers[:-1]] + built.layers[-1:],
+                     ModelKind.CLASSIFIER)
     # upsilon is undefined where a label's reference predictions are flat
     assume(forward(model, rows).var(axis=0).min() >= 1e-9)
     picks = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
@@ -261,3 +289,207 @@ def test_sweep_omega_file_equals_one_uncached_search_per_omega(tmp_path):
                          format_assignment(by_lambda.assignment, names)])
     written = (tmp_path / "out" / cli.SWEEP_FILE).read_bytes()
     assert written == text.getvalue().encode("utf-8")
+
+
+def textbook_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def textbook_train(model, X, Y, cfg):
+    """Per batch: forward, mean loss, backpropagation, then each array's
+    update. Returns (weights, biases, epoch losses), or ("diverged", epoch,
+    loss) where the batch loss or the epoch's weights stop being finite."""
+    Ws = [layer.weights.copy() for layer in model.layers]
+    bs = [layer.biases.copy() for layer in model.layers]
+    acts = [layer.activation for layer in model.layers]
+    m = X.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    losses = []
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(m)
+            total = 0.0
+            for start in range(0, m, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                a, inputs, slopes = X[idx], [], []
+                for W, b, act in zip(Ws, bs, acts):
+                    inputs.append(a)
+                    z = a @ W + b
+                    if act is Activation.RELU:
+                        a = np.maximum(z, 0.0)
+                        slopes.append((z > 0).astype(np.float64))
+                    elif act is Activation.SIGMOID:
+                        a = textbook_sigmoid(z)
+                        slopes.append(a * (1.0 - a))
+                    else:
+                        a = z
+                        slopes.append(np.ones_like(z))
+                P, T = a, Y[idx]
+                if cfg.loss is LossKind.BCE:
+                    pc = np.clip(P, 1e-7, 1.0 - 1e-7)
+                    value = float(-np.mean(T * np.log(pc)
+                                           + (1.0 - T) * np.log(1.0 - pc)))
+                    delta = (P - T) / P.size
+                else:
+                    value = float(np.mean((P - T) * (P - T)))
+                    delta = 2.0 * (P - T) / P.size * slopes[-1]
+                if not np.isfinite(value):
+                    return "diverged", epoch, value
+                total += value * len(idx)
+                grads = [None] * len(Ws)
+                for k in range(len(Ws) - 1, -1, -1):
+                    grads[k] = (inputs[k].T @ delta, delta.sum(axis=0))
+                    if k:
+                        delta = (delta @ Ws[k].T) * slopes[k - 1]
+                for W, b, (dW, db) in zip(Ws, bs, grads):
+                    W -= cfg.learning_rate * dW
+                    b -= cfg.learning_rate * db
+            mean = total / m
+            if not np.isfinite(mean) or not all(
+                    np.isfinite(W).all() and np.isfinite(b).all()
+                    for W, b in zip(Ws, bs)):
+                return "diverged", epoch, mean
+            losses.append(mean)
+    return Ws, bs, losses
+
+
+@st.composite
+def training_runs(draw, rates=st.sampled_from([0.0, 0.05, 0.5, 2.0])):
+    """A model of 1-3 hidden layers with drawn activations, data to fit and
+    a config whose batch size may leave a short last batch."""
+    kind, loss = draw(st.sampled_from([
+        (ModelKind.CLASSIFIER, LossKind.BCE),
+        (ModelKind.CLASSIFIER, LossKind.MSE),
+        (ModelKind.REGRESSOR, LossKind.MSE)]))
+    n, labels = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    hidden = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    batch = draw(st.integers(1, 6))
+    m = max(2, batch * draw(st.integers(1, 4)) + draw(st.integers(0, batch - 1)))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    built = build_model(n, labels, kind, hidden, seed=seed)
+    model = MLPModel([Layer(layer.weights, layer.biases,
+                            draw(st.sampled_from(list(Activation))))
+                      for layer in built.layers[:-1]] + built.layers[-1:], kind)
+    X = rng.normal(size=(m, n)) * draw(st.sampled_from([1.0, 10.0]))
+    if kind is ModelKind.CLASSIFIER:
+        Y = (rng.random((m, labels)) < 0.5).astype(np.float64)
+    else:
+        Y = rng.normal(size=(m, labels))
+    cfg = TrainConfig(learning_rate=draw(rates), epochs=draw(st.integers(1, 4)),
+                      batch_size=batch, seed=seed, loss=loss,
+                      hidden_dims=hidden)
+    return model, X, Y, cfg
+
+
+@settings(PROPERTY, max_examples=40)
+@given(training_runs())
+def test_train_equals_the_textbook_loop_bit_for_bit(run):
+    model, X, Y, cfg = run
+    want = textbook_train(model, X, Y, cfg)
+    assume(want[0] != "diverged")
+    _, report = train(model, X, Y, cfg)
+    Ws, bs, losses = want
+    for layer, W, b in zip(model.layers, Ws, bs):
+        assert layer.weights.tobytes() == W.tobytes()
+        assert layer.biases.tobytes() == b.tobytes()
+    assert np.array(report.epoch_losses).tobytes() == np.array(losses).tobytes()
+
+
+@PROPERTY
+@given(training_runs(rates=st.sampled_from([1e6, 1e12, 1e300])))
+def test_train_diverges_where_the_textbook_loop_does(run):
+    model, X, Y, cfg = run
+    want = textbook_train(model, X, Y, cfg)
+    assume(want[0] == "diverged")
+    with pytest.raises(TrainingDivergedError) as err:
+        train(model, X, Y, cfg)
+    assert err.value.epoch == want[1]
+    assert np.array(err.value.loss).tobytes() == np.array(want[2]).tobytes()
+
+
+def category_text():
+    """Text a categorical cell can hold: never empty and never a finite
+    number, so a categorical column cannot load as a continuous one."""
+    return st.text(st.characters(codec="utf-8"), min_size=1).filter(
+        lambda s: _parse_float(s) is None)
+
+
+@st.composite
+def datasets(draw):
+    """Continuous columns of any finite floats and categorical columns of
+    non-numeric text, with distinct names and 1-3 binary labels."""
+    n, labels = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8))
+    names = draw(st.lists(st.text(st.characters(codec="utf-8")),
+                          min_size=n + labels, max_size=n + labels, unique=True))
+    columns, features = [], []
+    for name in names[:n]:
+        if draw(st.booleans()):
+            col = np.array(draw(st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=m, max_size=m)))
+            features.append(FeatureMeta(name, FeatureKind.CONTINUOUS,
+                                        quantile_domain(col)))
+        else:
+            texts = draw(st.lists(category_text(), min_size=1, max_size=4,
+                                  unique=True))
+            col = np.array(draw(st.lists(st.integers(0, len(texts) - 1),
+                                         min_size=m, max_size=m)), dtype=float)
+            features.append(FeatureMeta(name, FeatureKind.CATEGORICAL,
+                                        np.arange(float(len(texts))),
+                                        raw_categories=texts))
+        columns.append(col)
+    Y = np.array(draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]),
+                                        min_size=labels, max_size=labels),
+                               min_size=m, max_size=m)))
+    return Dataset(np.column_stack(columns), Y, features, names[n:])
+
+
+def cell_texts(dataset):
+    return [[meta.raw_categories[int(v)] if meta.raw_categories else v
+             for v, meta in zip(row, dataset.features)] for row in dataset.X]
+
+
+@PROPERTY
+@given(datasets())
+def test_save_csv_then_load_csv_gives_the_dataset_back(config_dir, dataset):
+    path = config_dir / "round_trip.csv"
+    save_csv(dataset, path)
+    again = load_csv(path, dataset.label_names)
+    assert [f.name for f in again.features] == [f.name for f in dataset.features]
+    assert again.label_names == dataset.label_names
+    assert again.Y.tobytes() == dataset.Y.tobytes()
+    assert [f.kind for f in again.features] == [f.kind for f in dataset.features]
+    continuous = [j for j, f in enumerate(dataset.features)
+                  if f.kind is FeatureKind.CONTINUOUS]
+    assert again.X[:, continuous].tobytes() == dataset.X[:, continuous].tobytes()
+    assert cell_texts(again) == cell_texts(dataset)
+
+
+CSV_CELLS = st.sampled_from([
+    b"0", b"1", b"0.5", b"-2", b"1e308", b"-1e308", b"nan", b"inf", b"a", b"",
+    b"\x00", b"\xff", b"\xc3", b"\xe9t\xe9", b'"', b'"x,y"', b"\r", b"y",
+    b"x" * 140_000])
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.lists(st.sampled_from([b"a", b"b", b"y", b"\xff\xfe", b""]),
+                max_size=4),
+       st.lists(st.lists(CSV_CELLS, max_size=5), max_size=6))
+def test_no_csv_bytes_make_train_exit_1(config_dir, header, rows):
+    # invalid UTF-8, NUL, ragged rows, repeated names and huge fields all
+    # exit 3 (or train, or fail on the split or the numbers), never with a
+    # traceback
+    (config_dir / "fuzz.csv").write_bytes(
+        b"\n".join(b",".join(cells) for cells in [header, *rows]))
+    config = config_dir / "fuzz.json"
+    config.write_text(json.dumps({
+        "data": {"csv": "fuzz.csv", "labels": ["y"], "test_fraction": 0.3},
+        "model": {"hidden_dims": [2], "epochs": 2, "batch_size": 1}}))
+    assert cli.main(["train", "--config", str(config)]) in (0, 2, 3, 4)
