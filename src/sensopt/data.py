@@ -107,6 +107,16 @@ def _parse_float(text: str) -> float | None:
     return v if math.isfinite(v) else None
 
 
+def _parse_column(cells) -> np.ndarray | None:
+    """The cells as floats, or None unless every one is a finite number
+    (the rule `_parse_float` applies to one cell)."""
+    try:
+        col = np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        return None
+    return col if np.isfinite(col).all() else None
+
+
 def quantile_domain(values: np.ndarray, points=QUANTILE_POINTS) -> np.ndarray:
     """Deduplicated quantile grid (min, quartiles, max by default)."""
     return np.unique(np.quantile(values, points))
@@ -151,34 +161,37 @@ def load_csv(path, label_columns: list[str]) -> Dataset:
     if not feature_idx:
         raise DataError(f"{p}: no feature columns left after labels")
 
+    width = len(header)
     for r, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise DataError(
-                f"{p}: row {r} has {len(row)} cells, header has {len(header)}"
-            )
-        for c, cell in enumerate(row):
-            if cell == "":
-                raise DataError(f"{p}: missing cell at row {r}, column {header[c]!r}")
+        if len(row) != width or "" in row:
+            if len(row) != width:
+                raise DataError(
+                    f"{p}: row {r} has {len(row)} cells, header has {width}"
+                )
+            c = row.index("")
+            raise DataError(f"{p}: missing cell at row {r}, column {header[c]!r}")
+    columns = list(zip(*body))
 
     m = len(body)
     Y = np.zeros((m, len(label_idx)))
     for li, c in enumerate(label_idx):
-        for r, row in enumerate(body):
-            v = _parse_float(row[c])
-            if v is None or v not in (0.0, 1.0):
-                raise DataError(
-                    f"{p}: non-binary label {row[c]!r} at row {r + 2}, "
-                    f"column {header[c]!r}"
-                )
-            Y[r, li] = v
+        col = _parse_column(columns[c])
+        if col is None or not np.all((col == 0.0) | (col == 1.0)):
+            for r, cell in enumerate(columns[c], start=2):
+                v = _parse_float(cell)
+                if v is None or v not in (0.0, 1.0):
+                    raise DataError(
+                        f"{p}: non-binary label {cell!r} at row {r}, "
+                        f"column {header[c]!r}"
+                    )
+        Y[:, li] = col
 
     X = np.zeros((m, len(feature_idx)))
     features = []
     for fi, c in enumerate(feature_idx):
-        cells = [row[c] for row in body]
-        parsed = [_parse_float(s) for s in cells]
-        if all(v is not None for v in parsed):
-            col = np.array(parsed, dtype=np.float64)
+        cells = columns[c]
+        col = _parse_column(cells)
+        if col is not None:
             meta = FeatureMeta(header[c], FeatureKind.CONTINUOUS, quantile_domain(col))
         else:
             codes = {}

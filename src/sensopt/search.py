@@ -228,11 +228,16 @@ class Scorer:
         return self.score_all([assignment])[0]
 
     def score_all(self, assignments: list) -> list:
-        """One Candidate per assignment, in order."""
-        return [Candidate(a, gamma_from(lam, ups, self.config.omega,
-                                        self.objective), lam, ups)
-                for a, (lam, ups) in zip(assignments,
-                                         self.cache.lambda_upsilon(assignments))]
+        """One Candidate per assignment, in order; gamma is blended for the
+        whole batch at once, with the bits `gamma_from` gives each row."""
+        scores = self.cache.lambda_upsilon(assignments)
+        if not scores:
+            return []
+        lam, ups = (np.stack(arrays) for arrays in zip(*scores))
+        gammas = self.objective.collapse_rows(
+            gamma_per_label(lam, ups, self.config.omega, self.objective))
+        return [Candidate(a, gamma, *score)
+                for a, gamma, score in zip(assignments, gammas.tolist(), scores)]
 
 
 def score_candidate(M: MLPModel, T: ReferenceSet, a: FeatureAssignment,

@@ -22,6 +22,10 @@ from .nn import Activation, MLPModel, _activate, check_matrix, forward
 
 DEGENERATE_VAR = 1e-12
 
+# Least number of forwarded rows a kernel chunk may hold, so a batch over few
+# groups runs in a few large chunks rather than many small ones.
+CHUNK_ROW_FLOOR = 1024
+
 
 @dataclass(frozen=True)
 class FeatureAssignment:
@@ -114,6 +118,14 @@ class ReferenceSet:
         whether the scoring kernel groups rows."""
         return [np.unique(col) for col in self.features.T]
 
+    @cached_property
+    def value_codes(self) -> np.ndarray:
+        """(n, k) index of each reference cell into its column's
+        `distinct_values`, one contiguous row per feature; computed the
+        first time the scoring kernel groups rows."""
+        return np.stack([np.searchsorted(values, col) for values, col
+                         in zip(self.distinct_values, self.features.T)])
+
 
 def _check_pair(T: ReferenceSet, j: int, v: float):
     """Index within T's width and value within 1e-12 of a domain entry."""
@@ -199,12 +211,14 @@ class SensitivityKernel:
     predictions are equal in every group. upsilon = cov / var. Rows are
     grouped only when the free columns cannot form k distinct patterns
     (the product of their distinct-value counts is below k); otherwise
-    every row is its own group and nothing is sorted. A batch is cut into
-    chunks of at most k forwarded rows. P, every layer's pre-activation
-    and each sigmoid's output (nn's branch-free sigmoid) are written into
-    scratch arrays of k rows that the kernel keeps, so no (k, h) array is
-    allocated per subset or chunk; the rest of J's state is dropped after
-    its batch.
+    every row is its own group. Grouping never sorts: a row's pattern is
+    the mixed-radix number of its free columns' `ReferenceSet.value_codes`,
+    counted in a dense table. A batch is cut into chunks of at most
+    max(k, CHUNK_ROW_FLOOR) forwarded rows. P (k rows), every layer's
+    pre-activation and each sigmoid's output (nn's branch-free sigmoid;
+    chunk-sized) are written into scratch arrays that the kernel keeps, so
+    no (k, h) array is allocated per subset or chunk; the rest of J's state
+    is dropped after its batch.
 
     Numerics contract: an assignment's (lambda, upsilon) bits are a
     function of the model, the reference and the assignment only, never of
@@ -232,17 +246,19 @@ class SensitivityKernel:
         self._scratch = None
 
     def _buffers(self) -> list:
-        """Flat scratch arrays of k rows: one for P, one per layer's
-        pre-activation and one for a sigmoid's output (P has at most k rows,
-        a chunk at most k forwarded rows). Allocated on first use and reused
-        by every batch, so scoring does not fault in fresh pages for each
-        subset and chunk."""
+        """Flat scratch arrays: one of k rows for P, and one of a chunk's
+        max(k, CHUNK_ROW_FLOOR) rows per layer's pre-activation and for a
+        sigmoid's output. Allocated on first use and reused by every batch,
+        so scoring does not fault in fresh pages for each subset and
+        chunk."""
         if self._scratch is None:
             k = self.reference.features.shape[0]
+            rows = max(k, CHUNK_ROW_FLOOR)
             layers = self.model.layers
             self._scratch = [np.empty(k * layers[0].output_dim)]
-            self._scratch += [np.empty(k * layer.output_dim) for layer in layers]
-            self._scratch.append(np.empty(k * max(
+            self._scratch += [np.empty(rows * layer.output_dim)
+                              for layer in layers]
+            self._scratch.append(np.empty(rows * max(
                 (layer.output_dim for layer in layers
                  if layer.activation is Activation.SIGMOID), default=0)))
         return self._scratch
@@ -304,8 +320,9 @@ class SensitivityKernel:
         # predictions, and P, the first layer over the free columns (the
         # rows of W1 for J are zeroed, so U's fixed columns add nothing).
         counts, S = None, ct
-        if _fewer_patterns_than([len(T.distinct_values[j]) for j in free], k):
-            U, inverse, counts = _patterns(T, free)
+        space = _pattern_space([len(T.distinct_values[j]) for j in free], k)
+        if space < k:
+            U, inverse, counts = _patterns(T, free, space)
             if ct is not None:
                 S = np.stack([np.bincount(inverse, weights=col,
                                           minlength=len(U))
@@ -325,7 +342,7 @@ class SensitivityKernel:
         c = values.shape[0]
         lam = np.empty((c, self.model.n_outputs))
         cov = None if S is None else np.empty_like(lam)
-        step = max(1, k // u)
+        step = max(k, CHUNK_ROW_FLOOR) // u
         for lo in range(0, c, step):
             V = values[lo:lo + step]
             m = len(V)
@@ -365,28 +382,38 @@ def _activate_in_place(z: np.ndarray, act: Activation,
     return _activate(z, act, out)
 
 
-def _patterns(T: ReferenceSet, free: list) -> tuple:
-    """One reference row per distinct pattern of the `free` columns (in
-    increasing code order), each row's group and the group counts. A
-    pattern is coded as a mixed-radix integer over the columns' distinct
-    values; only called when their count product is below k, so it fits."""
-    code = np.zeros(T.features.shape[0], dtype=np.int64)
+def _patterns(T: ReferenceSet, free: list, space: int) -> tuple:
+    """One row U per distinct pattern of the `free` columns (in increasing
+    code order), each reference row's group and the group counts. A row's
+    code is the mixed-radix number of its free columns' value codes, below
+    `space`, the product of their distinct-value counts; the nonzero slots
+    of a dense count table over the codes are the groups, so nothing is
+    sorted. U's free columns are decoded from the slots and its other
+    columns are 0 (the kernel zeroes their weights)."""
+    code = np.zeros(T.features.shape[0], dtype=np.intp)
     for j in free:
+        code *= len(T.distinct_values[j])
+        code += T.value_codes[j]
+    table = np.bincount(code, minlength=space)
+    slots = np.flatnonzero(table)
+    group = np.empty(space, dtype=np.intp)
+    group[slots] = np.arange(len(slots))
+    U = np.zeros((len(slots), T.n_features))
+    counts = table[slots].astype(np.float64)
+    for j in reversed(free):
         values = T.distinct_values[j]
-        code = code * len(values) + np.searchsorted(values, T.features[:, j])
-    _, first, inverse, counts = np.unique(code, return_index=True,
-                                          return_inverse=True,
-                                          return_counts=True)
-    return (T.features[first], inverse.reshape(-1),
-            counts.astype(np.float64))
+        slots, digit = np.divmod(slots, len(values))
+        U[:, j] = values[digit]
+    return U, group[code], counts
 
 
-def _fewer_patterns_than(distinct_counts, k: int) -> bool:
-    """Whether columns with these distinct-value counts must repeat a
-    pattern over k rows (their product is below k)."""
+def _pattern_space(distinct_counts, k: int) -> int:
+    """The number of patterns columns with these distinct-value counts can
+    form (their product), or k once it reaches k; below k, a pattern must
+    repeat over k rows."""
     product = 1
     for d in distinct_counts:
         product *= int(d)
         if product >= k:
-            return False
-    return True
+            return k
+    return product

@@ -7,11 +7,15 @@ their numbers must match bit for bit; so must a Scorer whose score cache
 was filled by another search and a fresh one. The kernel agrees with the
 naive clone-and-forward oracle to 1e-12 and keeps the exact boundary
 scores. References are drawn both continuous (every row its own group) and
-categorical (rows grouped by their free columns). `train` equals, bit for
+categorical (rows grouped by their free columns). The kernel's dense-table
+grouping equals the sorting `np.unique` grouping written out here, a batch
+cut into several chunks keeps each row's bits, and `Scorer.score_all`'s
+batched gamma equals `gamma_from` per candidate. `train` equals, bit for
 bit, a textbook SGD loop written out here, divergence included. Loading a
 config either succeeds or raises ConfigError, whatever JSON value a field
-holds; `save_csv` then `load_csv` gives back the dataset, and no CSV bytes
-make `train` exit 1. Examples are derandomized so the suite stays
+holds; `save_csv` then `load_csv` gives back the dataset, `load_csv` equals
+a per-cell parse written out here on edge cells, and no CSV bytes make
+`train` exit 1. Examples are derandomized so the suite stays
 deterministic.
 """
 
@@ -19,6 +23,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +44,12 @@ from sensopt.data import (
     quantile_domain,
     save_csv,
 )
-from sensopt.errors import ConfigError, DegenerateReferenceError, TrainingDivergedError
+from sensopt.errors import (
+    ConfigError,
+    DataError,
+    DegenerateReferenceError,
+    TrainingDivergedError,
+)
 from sensopt.nn import (
     Activation,
     Layer,
@@ -58,13 +68,17 @@ from sensopt.search import (
     Scorer,
     SearchConfig,
     format_assignment,
+    gamma_from,
     lambda_of,
     run_search,
 )
 from sensopt.sensitivity import (
+    CHUNK_ROW_FLOOR,
     FeatureAssignment,
     ReferenceSet,
     SensitivityKernel,
+    _pattern_space,
+    _patterns,
     clone_and_fix,
     sensitivity_from_predictions,
 )
@@ -224,6 +238,95 @@ def test_upsilon_is_exact_at_the_boundaries(problem):
         assume(False)
     assert np.all(ups[0] == 1.0)
     assert np.all(ups[1] == 0.0)
+
+
+def unique_patterns(T, free):
+    """The sorting reference for `_patterns`: each row's mixed-radix code
+    over the `free` columns, found with `searchsorted`, then grouped by
+    `np.unique`. Returns U, each row's group and the group counts."""
+    code = np.zeros(T.features.shape[0], dtype=np.int64)
+    for j in free:
+        values = T.distinct_values[j]
+        code = code * len(values) + np.searchsorted(values, T.features[:, j])
+    _, first, inverse, counts = np.unique(code, return_index=True,
+                                          return_inverse=True,
+                                          return_counts=True)
+    return T.features[first], inverse.reshape(-1), counts.astype(np.float64)
+
+
+@st.composite
+def categorical_references(draw):
+    """A categorical reference with one single-valued column and a set of
+    free columns whose distinct-value product is below k, in half the
+    examples exactly k - 1. Each column's values are drawn unsorted, so
+    code order is not row or draw order."""
+    n = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    sizes[draw(st.integers(0, n - 1))] = 1
+    free = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    product = math.prod(sizes[j] for j in free)
+    k = product + 1 if draw(st.booleans()) else draw(st.integers(product + 1, 40))
+    k = max(k, 2, max(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    columns = []
+    for d in sizes:
+        codes = np.arange(k) % d  # every value appears
+        rng.shuffle(codes)
+        columns.append(rng.uniform(-1.0, 1.0, size=d)[codes])
+    return ReferenceSet(np.column_stack(columns)), free, product
+
+
+@PROPERTY
+@given(categorical_references())
+def test_dense_table_grouping_equals_unique_grouping(case):
+    reference, free, product = case
+    k = reference.features.shape[0]
+    space = _pattern_space([len(reference.distinct_values[j]) for j in free], k)
+    assert space == product < k
+    U, inverse, counts = _patterns(reference, free, space)
+    want_U, want_inverse, want_counts = unique_patterns(reference, free)
+    assert U[:, free].tobytes() == want_U[:, free].tobytes()
+    assert np.array_equal(inverse, want_inverse)
+    assert counts.tobytes() == want_counts.tobytes()
+
+
+@PROPERTY
+@given(problems(), st.integers(1, 300))
+def test_kernel_bits_hold_across_chunks(problem, extra):
+    # every column fixed leaves one group, so a batch of more than
+    # CHUNK_ROW_FLOOR value rows needs at least two chunks
+    model, reference, _ = problem
+    subset = tuple(range(reference.n_features))
+    rng = np.random.default_rng(extra)
+    rows = np.stack([rng.choice(dom, size=CHUNK_ROW_FLOOR + extra)
+                     for dom in reference.domains], axis=1)
+    kernel = SensitivityKernel(model, reference)
+    lam, ups = kernel.scores(subset, rows)
+    alone = {}
+    for row, row_lam, row_ups in zip(rows, lam, ups):
+        key = row.tobytes()
+        if key not in alone:
+            alone[key] = kernel.scores(subset, row[None, :])
+        assert alone[key][0][0].tobytes() == row_lam.tobytes()
+        assert alone[key][1][0].tobytes() == row_ups.tobytes()
+
+
+@PROPERTY
+@given(problems(), st.floats(0.0, 1.0), st.sampled_from(list(Direction)),
+       st.data())
+def test_batched_gamma_equals_gamma_from(problem, omega, direction, data):
+    model, reference, a = problem
+    labels = data.draw(st.none() | st.lists(
+        st.integers(0, model.n_outputs - 1), min_size=1, unique=True))
+    objective = Objective(direction, None if labels is None else tuple(labels))
+    cfg = SearchConfig(value_domains=reference.domains, omega=omega)
+    pairs = [FeatureAssignment.of((j, float(v)))
+             for j, dom in enumerate(reference.domains) for v in dom]
+    for c in Scorer(model, reference, cfg, objective).score_all(
+            [FeatureAssignment.empty(), a] + pairs):
+        want = gamma_from(c.lambda_per_label, c.upsilon_per_label, omega,
+                          objective)
+        assert np.float64(c.gamma).tobytes() == np.float64(want).tobytes()
 
 
 @PROPERTY
@@ -493,3 +596,66 @@ def test_no_csv_bytes_make_train_exit_1(config_dir, header, rows):
         "data": {"csv": "fuzz.csv", "labels": ["y"], "test_fraction": 0.3},
         "model": {"hidden_dims": [2], "epochs": 2, "batch_size": 1}}))
     assert cli.main(["train", "--config", str(config)]) in (0, 2, 3, 4)
+
+
+EDGE_CELLS = ["1", " 2.5", "1_000", "nan", "inf", "-inf", "1e400", "0x10",
+              "abc", "١"]
+
+
+def load_csv_per_cell(path, header, body, label):
+    """What `load_csv` makes of well-formed rows, one `_parse_float` per
+    cell: the labels, then (kind, domain, values, categories) per feature
+    column; a non-binary label raises DataError naming the first bad cell."""
+    c = header.index(label)
+    Y = []
+    for r, row in enumerate(body, start=2):
+        v = _parse_float(row[c])
+        if v is None or v not in (0.0, 1.0):
+            raise DataError(f"{path}: non-binary label {row[c]!r} at row {r}, "
+                            f"column {label!r}")
+        Y.append(v)
+    columns = []
+    for c in range(len(header) - 1):
+        cells = [row[c] for row in body]
+        parsed = [_parse_float(s) for s in cells]
+        if all(v is not None for v in parsed):
+            col = np.array(parsed)
+            columns.append((FeatureKind.CONTINUOUS, quantile_domain(col), col,
+                            None))
+        else:
+            codes = {}
+            for s in cells:
+                codes.setdefault(s, float(len(codes)))
+            columns.append((FeatureKind.CATEGORICAL,
+                            np.arange(float(len(codes))),
+                            np.array([codes[s] for s in cells]), list(codes)))
+    return np.array(Y), columns
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.data())
+def test_load_csv_equals_the_per_cell_parse(config_dir, n, m, bad_labels, data):
+    features = st.sampled_from(EDGE_CELLS)
+    labels = st.sampled_from(["0", "1", "١"]
+                             + (EDGE_CELLS if bad_labels else []))
+    header = [f"f{j}" for j in range(n)] + ["y"]
+    body = [data.draw(st.lists(features, min_size=n, max_size=n))
+            + [data.draw(labels)] for _ in range(m)]
+    path = config_dir / "edge_cells.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + body)
+    try:
+        Y, columns = load_csv_per_cell(path, header, body, "y")
+    except DataError as want:
+        with pytest.raises(DataError) as got:
+            load_csv(path, ["y"])
+        assert str(got.value) == str(want)
+        return
+    dataset = load_csv(path, ["y"])
+    assert dataset.Y[:, 0].tobytes() == Y.tobytes()
+    for j, (kind, domain, values, categories) in enumerate(columns):
+        meta = dataset.features[j]
+        assert meta.kind is kind
+        assert meta.domain.tobytes() == domain.tobytes()
+        assert dataset.X[:, j].tobytes() == values.tobytes()
+        assert meta.raw_categories == categories
