@@ -11,7 +11,7 @@ verification. Everything else lives in the submodules (`sensopt.nn`,
 
 from .baseline import brute_force
 from .data import SyntheticSpec, generate_synthetic, save_csv, save_ground_truth
-from .search import Direction, Objective, SearchConfig, run_search
+from .search import Direction, Objective, ScoreCache, SearchConfig, run_search
 from .sensitivity import ReferenceSet
 
 __version__ = "0.1.0"

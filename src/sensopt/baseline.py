@@ -38,16 +38,6 @@ class BaselineResult:
     stage_trace: list
 
 
-def _normalized_domains(value_domains) -> list:
-    domains = []
-    for j, dom in enumerate(value_domains):
-        arr = np.asarray(dom, dtype=np.float64)
-        if arr.size == 0:
-            raise ConfigError(f"feature {j} has an empty value domain")
-        domains.append(arr)
-    return domains
-
-
 def enumeration_size(value_domains, max_arity: int) -> int:
     """Number of assignments with arity <= max_arity, empty one included.
 
@@ -67,7 +57,7 @@ def enumeration_size(value_domains, max_arity: int) -> int:
 def enumerate_assignments(value_domains, max_arity: int):
     """Yield every assignment of arity 0..max_arity, deterministic order:
     arity ascending, feature subsets lexicographic, values in domain order."""
-    domains = _normalized_domains(value_domains)
+    domains = [np.asarray(dom, dtype=np.float64) for dom in value_domains]
     n = len(domains)
     for arity in range(max_arity + 1):
         for subset in combinations(range(n), arity):
@@ -86,16 +76,13 @@ def _improves(value: float, key: tuple, best_value: float | None,
     return key < best_key
 
 
-def brute_force(M: MLPModel, T: ReferenceSet, value_domains,
-                objective: Objective, max_arity: int | None = None,
+def brute_force(M: MLPModel, T: ReferenceSet, objective: Objective,
+                max_arity: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> BaselineResult:
-    """Exhaustive argmin/argmax of mean lambda over all assignments of arity
-    <= max_arity. Refuses up front when the enumeration exceeds `budget`."""
-    domains = _normalized_domains(value_domains)
-    if len(domains) != T.n_features:
-        raise ConfigError(
-            f"{len(domains)} value domains for {T.n_features} features"
-        )
+    """Exhaustive argmin/argmax of mean lambda over all assignments of T's
+    candidate grid with arity <= max_arity. Refuses up front when the
+    enumeration exceeds `budget`."""
+    domains = T.grid
     if max_arity is None:
         max_arity = len(domains)
     if not 0 <= max_arity <= len(domains):
@@ -131,19 +118,15 @@ def brute_force(M: MLPModel, T: ReferenceSet, value_domains,
     return BaselineResult("brute_force", best[2], best[0], evaluations, trace)
 
 
-def sequential_dp(M: MLPModel, T: ReferenceSet, value_domains,
-                  objective: Objective,
+def sequential_dp(M: MLPModel, T: ReferenceSet, objective: Objective,
                   feature_order=None) -> BaselineResult:
-    """Fix features one at a time, each at the value that best moves the
-    mean prediction given everything already fixed. Always commits a value
-    per feature, so interactions it never looked ahead to are lost.
+    """Fix features one at a time, each at T's candidate value that
+    best moves the mean prediction given everything already fixed. Always
+    commits a value per feature, so interactions it never looked ahead to
+    are lost.
 
     Costs exactly sum of domain sizes plus one evaluation."""
-    domains = _normalized_domains(value_domains)
-    if len(domains) != T.n_features:
-        raise ConfigError(
-            f"{len(domains)} value domains for {T.n_features} features"
-        )
+    domains = T.grid
     n = len(domains)
     if feature_order is None:
         feature_order = list(range(n))
@@ -172,12 +155,13 @@ def sequential_dp(M: MLPModel, T: ReferenceSet, value_domains,
     return BaselineResult("sequential", current, value, evaluations, trace)
 
 
-def exhaustive_gamma_by_depth(scorer: Scorer, value_domains, max_depth: int,
+def exhaustive_gamma_by_depth(scorer: Scorer, max_depth: int,
                               budget: int = DEFAULT_BUDGET) -> list:
-    """Best candidate by gamma at every arity 0..max_depth, scored exactly
-    like the beam search (same Scorer, same tie-break); the oracle that a
-    wide-enough beam must match depth for depth."""
-    domains = _normalized_domains(value_domains)
+    """Best candidate by gamma at every arity 0..max_depth of the scorer's
+    candidate grid, scored exactly like the beam search (same Scorer, same
+    tie-break); the oracle that a wide-enough beam must match depth for
+    depth."""
+    domains = scorer.cache.reference.grid
     if not 0 <= max_depth <= len(domains):
         raise ConfigError(f"max_depth must be in [0, {len(domains)}]")
     size = enumeration_size(domains, max_depth)

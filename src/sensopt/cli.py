@@ -315,15 +315,14 @@ def _objective(cfg: dict) -> Objective:
                      None if subset is None else tuple(subset))
 
 
-def _search_config(cfg: dict, reference: ReferenceSet) -> SearchConfig:
+def _search_config(cfg: dict, n_features: int) -> SearchConfig:
     section = cfg["search"]
     sc = SearchConfig(
-        value_domains=reference.domains,
         omega=section["omega"],
         zeta=section["zeta"],
         max_depth=section["max_depth"],
     )
-    sc.validate(reference.n_features)
+    sc.validate(n_features)
     return sc
 
 
@@ -428,8 +427,9 @@ def _check_max_arity(cfg: dict, section: str, n_features: int):
 
 
 def _load_search_inputs(cfg: dict):
-    """Data, model, reference and, in surrogate mode, the surrogate, which
-    is refused if it was distilled for other data."""
+    """Data, a ScoreCache over the model, the reference and, in surrogate
+    mode, the surrogate (refused if it was distilled for other data), and
+    the feature names."""
     train_set, _, _, _ = prepare_data(cfg)
     model = _load_model(cfg, train_set)
     reference = ReferenceSet.from_dataset(train_set)
@@ -444,7 +444,7 @@ def _load_search_inputs(cfg: dict):
                 f"{train_set.n_features} features and {train_set.n_labels} "
                 f"labels (rerun distill)")
     feature_names = [f.name for f in train_set.features]
-    return train_set, model, reference, surrogate, feature_names
+    return train_set, ScoreCache(model, reference, surrogate), feature_names
 
 
 def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
@@ -466,13 +466,11 @@ def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
 
 
 def cmd_optimize(cfg: dict) -> int:
-    train_set, model, reference, surrogate, feature_names = \
-        _load_search_inputs(cfg)
-    sc = _search_config(cfg, reference)
+    train_set, cache, feature_names = _load_search_inputs(cfg)
+    n_features = cache.reference.n_features
+    sc = _search_config(cfg, n_features)
     objective = _objective(cfg)
-    cache = ScoreCache(model, reference, surrogate)
-    sn, trace = run_search(model, reference, sc, objective,
-                           surrogate=surrogate, cache=cache)
+    sn, trace = run_search(cache, sc, objective)
 
     out = _out_dir(cfg)
     write_trace_csv(trace, out / TRACE_FILE, objective,
@@ -480,7 +478,7 @@ def cmd_optimize(cfg: dict) -> int:
     write_json(out / OPTIMIZE_REPORT_FILE, {
         "omega": sc.omega,
         "zeta": sc.zeta,
-        "max_depth": sc.depth(),
+        "max_depth": sc.depth(n_features),
         "mode": cfg["search"]["mode"],
         "direction": cfg["search"]["direction"].value,
         "labels": train_set.label_names,
@@ -490,9 +488,7 @@ def cmd_optimize(cfg: dict) -> int:
         ],
     })
 
-    effects = top_feature_report(model, reference, sc, objective,
-                                 k=cfg["search"]["top_k"],
-                                 surrogate=surrogate, cache=cache)
+    effects = top_feature_report(cache, sc, objective, k=cfg["search"]["top_k"])
     rows = []
     for rank, e in enumerate(effects, start=1):
         meta = train_set.features[e.feature]
@@ -534,7 +530,7 @@ def cmd_baseline(cfg: dict) -> int:
     report: dict = {}
     rows = []
     try:
-        brute = brute_force(model, reference, reference.domains, objective,
+        brute = brute_force(model, reference, objective,
                             max_arity=section["max_arity"],
                             budget=section["budget"])
         report["brute_force"] = _baseline_doc(brute, feature_names)
@@ -546,7 +542,7 @@ def cmd_baseline(cfg: dict) -> int:
             "budget": e.budget,
         }
 
-    seq = sequential_dp(model, reference, reference.domains, objective)
+    seq = sequential_dp(model, reference, objective)
     report["sequential"] = _baseline_doc(seq, feature_names)
     rows += _baseline_rows(seq, feature_names)
 
@@ -591,15 +587,13 @@ def cmd_compare(cfg: dict) -> int:
 
 
 def cmd_sweep_omega(cfg: dict) -> int:
-    _, model, reference, surrogate, feature_names = _load_search_inputs(cfg)
+    _, cache, feature_names = _load_search_inputs(cfg)
     objective = _objective(cfg)
-    sc = _search_config(cfg, reference)
-    cache = ScoreCache(model, reference, surrogate)
+    sc = _search_config(cfg, cache.reference.n_features)
 
     rows = []
     for omega in cfg["sweep"]["grid"]:
-        sn, _ = run_search(model, reference, replace(sc, omega=omega),
-                           objective, surrogate=surrogate, cache=cache)
+        sn, _ = run_search(cache, replace(sc, omega=omega), objective)
         by_lambda = objective.direction.best(
             sn, key=lambda c: c.mean_lambda(objective))
         rows.append([repr(omega), repr(by_lambda.mean_lambda(objective)),

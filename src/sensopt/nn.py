@@ -10,8 +10,8 @@ bit identity with the textbook loop: per batch, run forward, take the
 clamped mean loss, backpropagate, then subtract learning_rate * grad from
 each array. Every weight, bias and per-epoch loss comes out with the same
 bits, so model.json does not depend on how the step is organised. One
-branch-free sigmoid (`_sigmoid`) serves `forward`, training and the
-sensitivity kernel.
+branch-free sigmoid (`_sigmoid`) is shared by `forward`, training and
+the sensitivity kernel.
 """
 
 from __future__ import annotations
@@ -535,8 +535,10 @@ def save_model(model: MLPModel, path, meta: dict | None = None):
 def load_model(path):
     """Read a snapshot written by save_model. Returns (model, meta).
 
-    A file that is not JSON, or lacks or garbles a field, raises DataError
-    naming it; an unsupported format_version raises ConfigError."""
+    A file that is not JSON, lacks or garbles a field, or describes no
+    valid model (layers that do not chain, a wrong final activation)
+    raises DataError naming it; an unsupported format_version raises
+    ConfigError."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -559,7 +561,7 @@ def load_model(path):
             )
             for spec in doc["layers"]
         ]
-        kind = ModelKind(doc["kind"])
+        model = MLPModel(layers, ModelKind(doc["kind"]))
     except KeyError as e:
         raise DataError(f"{path}: model file lacks field {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:
@@ -567,4 +569,4 @@ def load_model(path):
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise DataError(f"{path}: malformed model file (meta is not an object)")
-    return MLPModel(layers, kind), meta
+    return model, meta

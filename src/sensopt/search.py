@@ -12,7 +12,7 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -71,34 +71,23 @@ class Objective:
 
 @dataclass
 class SearchConfig:
-    value_domains: list  # per-feature candidate values
     omega: float = 0.6
     zeta: int = 5
     max_depth: int | None = None  # None means number of features
 
-    def validate(self, n_features: int | None = None):
+    def validate(self, n_features: int):
         if not 0.0 <= self.omega <= 1.0:
             raise ConfigError(f"omega must be in [0,1], got {self.omega}")
         if self.zeta < 1:
             raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
-        if n_features is not None and len(self.value_domains) != n_features:
+        depth = self.depth(n_features)
+        if depth < 0 or depth > n_features:
             raise ConfigError(
-                f"{len(self.value_domains)} value domains for {n_features} features"
-            )
-        for j, dom in enumerate(self.value_domains):
-            arr = np.asarray(dom, dtype=np.float64)
-            if arr.size == 0:
-                raise ConfigError(f"feature {j} has an empty value domain")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"feature {j} has non-finite candidate values")
-        depth = self.depth()
-        if depth < 0 or depth > len(self.value_domains):
-            raise ConfigError(
-                f"max_depth must be in [0, {len(self.value_domains)}], got {depth}"
+                f"max_depth must be in [0, {n_features}], got {depth}"
             )
 
-    def depth(self) -> int:
-        return len(self.value_domains) if self.max_depth is None else self.max_depth
+    def depth(self, n_features: int) -> int:
+        return n_features if self.max_depth is None else self.max_depth
 
 
 @dataclass
@@ -147,32 +136,34 @@ class ScoreCache:
     distinct assignment through one `SensitivityKernel`; upsilon comes from
     `surrogate` when one is given, else from the kernel.
 
-    Neither depends on omega or the objective, so every search over the
-    same inputs can share one cache and re-blend gamma from it. The
-    reference's centred predictions and variance are computed on the first
-    oracle score, so a degenerate reference raises there, and a cache with
-    a surrogate never computes them. By the kernel's contract a cached
-    score has the bits a fresh one would have.
+    The cache is where a search's model, reference (with its candidate
+    grid) and surrogate are given. Neither score depends on omega or the
+    objective, so every search over the same inputs can share one cache
+    and re-blend gamma from it. The reference's centred predictions and
+    variance are computed on the first oracle score, so a degenerate
+    reference raises there, and a cache with a surrogate never computes
+    them. By the kernel's contract a cached score has the bits a fresh one
+    would have.
     """
 
     def __init__(self, model: MLPModel, reference: ReferenceSet,
                  surrogate: MLPModel | None = None):
-        if (surrogate is not None
-                and surrogate.n_inputs != 2 * reference.n_features):
-            raise ShapeError(
-                f"surrogate input width {surrogate.n_inputs} does not "
-                f"match {reference.n_features} features"
-            )
+        if surrogate is not None:
+            if surrogate.n_inputs != 2 * reference.n_features:
+                raise ShapeError(
+                    f"surrogate input width {surrogate.n_inputs} does not "
+                    f"match {reference.n_features} features"
+                )
+            if surrogate.n_outputs != model.n_outputs:
+                raise ShapeError(
+                    f"surrogate predicts {surrogate.n_outputs} labels, "
+                    f"model {model.n_outputs}"
+                )
         self.model = model
         self.reference = reference
         self.surrogate = surrogate
         self.kernel = SensitivityKernel(model, reference)
         self._scores: dict = {}
-
-    def serves(self, model: MLPModel, reference: ReferenceSet,
-               surrogate: MLPModel | None) -> bool:
-        return (self.model is model and self.reference is reference
-                and self.surrogate is surrogate)
 
     def lambda_upsilon(self, assignments: list) -> list:
         """(lambda, upsilon) per label for each assignment, all read-only
@@ -200,29 +191,15 @@ class ScoreCache:
 
 @dataclass
 class Scorer:
-    """Bundles everything needed to turn an assignment into a Candidate.
-
-    Distinct assignments are scored in batches through the cache's
-    `SensitivityKernel`, plus one encoded row each through `surrogate` when
-    one is given, which then supplies upsilon (lambda still comes from the
-    classifier); `cache` holds the results and may be shared with other
-    Scorers over the same model, reference and surrogate, whatever their
-    omega or objective.
+    """Turns assignments into Candidates: lambda and upsilon come from
+    `cache` (so from its surrogate, when it has one), gamma from `config`'s
+    omega and `objective`. Scorers with any omega or objective may share
+    one cache.
     """
 
-    model: MLPModel
-    reference: ReferenceSet
+    cache: ScoreCache
     config: SearchConfig
     objective: Objective
-    surrogate: MLPModel | None = None
-    cache: ScoreCache | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.cache is None:
-            self.cache = ScoreCache(self.model, self.reference, self.surrogate)
-        elif not self.cache.serves(self.model, self.reference, self.surrogate):
-            raise ConfigError("score cache was built for another model, "
-                              "reference or surrogate")
 
     def score(self, assignment: FeatureAssignment) -> Candidate:
         return self.score_all([assignment])[0]
@@ -240,17 +217,11 @@ class Scorer:
                 for a, gamma, score in zip(assignments, gammas.tolist(), scores)]
 
 
-def score_candidate(M: MLPModel, T: ReferenceSet, a: FeatureAssignment,
-                    omega: float, objective: Objective) -> Candidate:
-    """One-off oracle scoring without a reusable Scorer."""
-    cfg = SearchConfig(value_domains=[[0.0]] * T.n_features, omega=omega)
-    return Scorer(M, T, cfg, objective).score(a)
-
-
 def expand(beam: list, config: SearchConfig, scorer: Scorer) -> list:
     """Every one-pair extension of every beam member, scored. No dedup here:
     the same assignment reached through different parents appears once per
     parent; prune collapses them. Fully-assigned members contribute nothing.
+    The values tried are the reference's candidate grid.
     """
     if beam:
         arity = len(beam[0].assignment)
@@ -259,10 +230,10 @@ def expand(beam: list, config: SearchConfig, scorer: Scorer) -> list:
     children = []
     for cand in beam:
         taken = cand.assignment.indices
-        for j, domain in enumerate(config.value_domains):
+        for j, domain in enumerate(scorer.cache.reference.grid):
             if j in taken:
                 continue
-            for v in np.asarray(domain, dtype=np.float64):
+            for v in domain:
                 children.append(cand.assignment.extend(j, float(v)))
     return scorer.score_all(children)
 
@@ -310,21 +281,21 @@ def _stage_best_lambda(candidates: list, objective: Objective) -> float:
                                      for c in candidates])
 
 
-def run_search(M: MLPModel, T: ReferenceSet, config: SearchConfig,
-               objective: Objective, surrogate: MLPModel | None = None,
-               cache: ScoreCache | None = None):
-    """Beam search from the empty assignment. Returns (SN, trace) where SN
-    is the final beam plus the best candidate seen at any stage. A shared
-    `cache` reuses the scores of earlier searches over the same inputs."""
-    config.validate(T.n_features)
-    scorer = Scorer(M, T, config, objective, surrogate=surrogate, cache=cache)
+def run_search(cache: ScoreCache, config: SearchConfig, objective: Objective):
+    """Beam search from the empty assignment over `cache`'s model, reference
+    and surrogate. Returns (SN, trace) where SN is the final beam plus the
+    best candidate seen at any stage. A shared `cache` reuses the scores of
+    earlier searches."""
+    n_features = cache.reference.n_features
+    config.validate(n_features)
+    scorer = Scorer(cache, config, objective)
 
     empty = scorer.score(FeatureAssignment.empty())
     best = empty
     beam = [empty]
     stages = [StageRecord(0, beam, best.gamma,
                           _stage_best_lambda(beam, objective))]
-    for depth in range(1, config.depth() + 1):
+    for depth in range(1, config.depth(n_features) + 1):
         scored = expand(beam, config, scorer)
         for c in scored:
             if _better(c, best):
@@ -349,22 +320,21 @@ class FeatureEffect:
     upsilon_per_label: np.ndarray
 
 
-def top_feature_report(M: MLPModel, T: ReferenceSet, config: SearchConfig,
-                       objective: Objective, k: int,
-                       surrogate: MLPModel | None = None,
-                       cache: ScoreCache | None = None) -> list:
-    """Rank every single-pair assignment by gamma; k best, full scan order.
+def top_feature_report(cache: ScoreCache, config: SearchConfig,
+                       objective: Objective, k: int) -> list:
+    """Rank every single-pair assignment of the reference's candidate grid
+    by gamma; k best, full scan order.
 
     gamma_delta's sign marks pairs scoring below the do-nothing baseline.
     A `cache` shared with run_search makes every pair a lookup."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    config.validate(T.n_features)
-    scorer = Scorer(M, T, config, objective, surrogate=surrogate, cache=cache)
+    config.validate(cache.reference.n_features)
+    scorer = Scorer(cache, config, objective)
     gamma_empty = scorer.score(FeatureAssignment.empty()).gamma
     pairs = [FeatureAssignment.of((j, float(v)))
-             for j, domain in enumerate(config.value_domains)
-             for v in np.asarray(domain, dtype=np.float64)]
+             for j, domain in enumerate(cache.reference.grid)
+             for v in domain]
     effects = []
     for c in scorer.score_all(pairs):
         (j, v), = c.assignment.pairs

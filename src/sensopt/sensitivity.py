@@ -73,7 +73,12 @@ class FeatureAssignment:
 
 @dataclass
 class ReferenceSet:
-    """Frozen empirical distribution the sensitivity score averages over."""
+    """Frozen empirical distribution the sensitivity score averages over.
+
+    `domains`, when given, is the candidate grid: the values every search,
+    baseline and distillation sample draws from, and the only values the
+    scoring kernel accepts. Each feature's domain must be non-empty and
+    finite."""
 
     features: np.ndarray  # (k, n)
     domains: list[np.ndarray] | None = None  # per-feature candidate values, optional
@@ -86,10 +91,24 @@ class ReferenceSet:
             )
         if self.domains is not None:
             if len(self.domains) != self.features.shape[1]:
-                raise ValueError(
+                raise ConfigError(
                     f"{len(self.domains)} domains for {self.features.shape[1]} features"
                 )
             self.domains = [np.asarray(d, dtype=np.float64) for d in self.domains]
+            for j, dom in enumerate(self.domains):
+                if dom.size == 0:
+                    raise ConfigError(f"feature {j} has an empty value domain")
+                if not np.all(np.isfinite(dom)):
+                    raise ConfigError(f"feature {j} has non-finite candidate values")
+
+    @property
+    def grid(self) -> list:
+        """`domains`, for a caller that enumerates or samples candidates;
+        ConfigError when none were declared."""
+        if self.domains is None:
+            raise ConfigError("reference set needs value domains to "
+                              "enumerate or sample assignments")
+        return self.domains
 
     @classmethod
     def from_dataset(cls, dataset):

@@ -112,8 +112,7 @@ def build_distillation_set(model: MLPModel, reference: ReferenceSet,
     replacement, and each value uniform over that feature's candidate
     domain. max_arity defaults to min(n, 8).
     """
-    if reference.domains is None:
-        raise ConfigError("reference set needs value domains to sample assignments")
+    domains = reference.grid
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     n = reference.n_features
@@ -130,7 +129,7 @@ def build_distillation_set(model: MLPModel, reference: ReferenceSet,
         subset = rng.choice(n, size=arity, replace=False)
         pairs = []
         for j in subset:
-            domain = reference.domains[int(j)]
+            domain = domains[int(j)]
             pairs.append((int(j), float(domain[rng.integers(len(domain))])))
         a = FeatureAssignment(tuple(pairs))
         assignments.append(a)
@@ -221,4 +220,7 @@ def load_surrogate(path):
     if model.n_inputs != 2 * meta["n_features"]:
         raise DataError(
             f"{path}: stored input width disagrees with n_features meta")
+    if model.n_outputs != meta["n_labels"]:
+        raise DataError(
+            f"{path}: stored output width disagrees with n_labels meta")
     return model, meta

@@ -7,6 +7,10 @@ enumeration, hand-built networks) rather than trusting package internals.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +33,11 @@ from sensopt.nn import (
 from sensopt.search import (
     Direction,
     Objective,
+    ScoreCache,
     Scorer,
     SearchConfig,
     gamma_from,
     run_search,
-    score_candidate,
 )
 from sensopt.sensitivity import (
     FeatureAssignment,
@@ -131,10 +135,10 @@ def test_wide_beam_equals_exhaustive_at_every_depth():
     )
     model = fit_classifier(X, Y, [16], epochs=100, seed=3)
     reference = ReferenceSet(X, domains=domains)
-    cfg = SearchConfig(value_domains=domains, omega=0.6, zeta=500)
-    _, trace = run_search(model, reference, cfg, MIN)
-    oracle = exhaustive_gamma_by_depth(Scorer(model, reference, cfg, MIN),
-                                       domains, max_depth=5)
+    cfg = SearchConfig(omega=0.6, zeta=500)
+    _, trace = run_search(ScoreCache(model, reference), cfg, MIN)
+    oracle = exhaustive_gamma_by_depth(
+        Scorer(ScoreCache(model, reference), cfg, MIN), max_depth=5)
     for depth, best in enumerate(oracle):
         stage_best = trace.stages[depth].candidates[0]
         assert stage_best.gamma == best.gamma
@@ -153,9 +157,9 @@ def test_search_recovers_planted_optimum_across_seeds():
         X, Y, domains, _ = scaled_synthetic(spec)
         model = fit_classifier(X, Y, [32], epochs=150, seed=seed)
         reference = ReferenceSet(X, domains=domains)
-        brute = brute_force(model, reference, domains, MIN)
-        cfg = SearchConfig(value_domains=domains, omega=0.6, zeta=5)
-        sn, _ = run_search(model, reference, cfg, MIN)
+        brute = brute_force(model, reference, MIN)
+        cfg = SearchConfig(omega=0.6, zeta=5)
+        sn, _ = run_search(ScoreCache(model, reference), cfg, MIN)
         best = min(c.mean_lambda(MIN) for c in sn)
         gap = best - brute.best_objective
         assert gap >= 0.0  # enumeration is a superset of anything the beam saw
@@ -212,13 +216,13 @@ def test_interaction_model_defeats_greedy_but_not_search():
     domains = [np.array([0.0, 1.0])] * 2
     reference = ReferenceSet(corners, domains=domains)
 
-    greedy = sequential_dp(model, reference, domains, MIN)
-    brute = brute_force(model, reference, domains, MIN)
+    greedy = sequential_dp(model, reference, MIN)
+    brute = brute_force(model, reference, MIN)
     assert brute.best_objective == 0.0
     assert greedy.best_objective > brute.best_objective  # strictly worse
 
-    cfg = SearchConfig(value_domains=domains, omega=0.6, zeta=5)
-    sn, _ = run_search(model, reference, cfg, MIN)
+    cfg = SearchConfig(omega=0.6, zeta=5)
+    sn, _ = run_search(ScoreCache(model, reference), cfg, MIN)
     best = min(c.mean_lambda(MIN) for c in sn)
     assert abs(best - brute.best_objective) <= 0.01
 
@@ -252,6 +256,37 @@ def test_cli_rerun_outputs_are_byte_identical(tmp_path):
         assert (tmp_path / "out" / n).read_bytes() == first[n], n
 
 
+def test_blas_thread_count_does_not_change_artifacts(tmp_path):
+    # each run is its own process, since BLAS reads its thread count when
+    # numpy loads; 1,080 reference rows make the first-layer gemm over the
+    # reference large enough for BLAS to split it across threads
+    ds, _ = generate_synthetic(
+        SyntheticSpec(n_features=5, n_samples=1200, label_count=2, seed=5))
+    save_csv(ds, tmp_path / "data.csv")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "from sensopt.cli import main; "
+              "sys.exit(max(main([c, '--config', sys.argv[2]]) "
+              "for c in ('train', 'optimize', 'baseline')))")
+    outputs = []
+    for threads in ("1", "2"):
+        cfg_path = tmp_path / f"config{threads}.json"
+        cfg_path.write_text(json.dumps({
+            "out_dir": f"out{threads}",
+            "data": {"csv": "data.csv", "labels": ["label0", "label1"]},
+            "model": {"hidden_dims": [64], "epochs": 2},
+            "baseline": {"max_arity": 2},
+        }))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", script, src, str(cfg_path)],
+                       env=env, check=True, timeout=120)
+        out = tmp_path / f"out{threads}"
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 8
+    assert outputs[0] == outputs[1]
+
+
 def test_omega_sweep_grid_and_blend_boundaries(tmp_path):
     cfg_path = pipeline_workspace(tmp_path)
     assert main(["train", "--config", str(cfg_path)]) == 0
@@ -270,11 +305,13 @@ def test_omega_sweep_grid_and_blend_boundaries(tmp_path):
     reference = ReferenceSet(X, domains=[np.array([0.0, 1.0])] * 3)
     a = FeatureAssignment.of((1, 1.0))
     for objective in (MIN, MAX):
-        c1 = score_candidate(model, reference, a, 1.0, objective)
+        c1 = Scorer(ScoreCache(model, reference), SearchConfig(omega=1.0),
+                    objective).score(a)
         lam = c1.lambda_per_label.mean()
         want = 1.0 - lam if objective is MIN else lam
         assert abs(c1.gamma - want) <= 1e-12
-        c0 = score_candidate(model, reference, a, 0.0, objective)
+        c0 = Scorer(ScoreCache(model, reference), SearchConfig(omega=0.0),
+                    objective).score(a)
         assert abs(c0.gamma - c0.upsilon_per_label.mean()) <= 1e-12
         assert abs(c1.gamma - gamma_from(c1.lambda_per_label,
                                          c1.upsilon_per_label, 1.0,

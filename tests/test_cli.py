@@ -296,6 +296,40 @@ def test_corrupt_artifact_exits_3(tmp_path, capsys, name, flags):
     assert name in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name,flags", [
+    ("model.json", []),
+    ("surrogate.json", ["--mode", "surrogate"]),
+])
+def test_artifact_that_describes_no_usable_model_exits_3(tmp_path, capsys,
+                                                         name, flags):
+    # well-formed JSON: a model whose layers do not chain, and a surrogate
+    # with more outputs than its meta's n_labels
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
+                                             label_count=1, seed=1))
+    save_csv(ds, tmp_path / "data.csv")
+    cfg = {"data": {"csv": "data.csv", "labels": ["label0"]},
+           "model": {"hidden_dims": [4], "epochs": 5},
+           "surrogate": {"hidden_dims": [4, 4], "epochs": 5, "n_samples": 20}}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(["distill", "--config", str(p)]) == 0
+    path = tmp_path / "out" / name
+    doc = json.loads(path.read_text())
+    last = doc["layers"][-1]
+    if name == "model.json":
+        last["input_dim"] = 3
+        last["weights"] = [[0.0]] * 3
+    else:
+        last["output_dim"] = 3
+        last["weights"] = [[0.0] * 3 for _ in last["weights"]]
+        last["biases"] = [0.0] * 3
+    path.write_text(json.dumps(doc))
+    assert main(["optimize", "--config", str(p)] + flags) == 3
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def test_missing_artifact_exits_3(tmp_path, capsys):
     ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
                                              label_count=1, seed=1))

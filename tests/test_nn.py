@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -346,6 +347,25 @@ def test_load_rejects_meta_that_is_not_an_object(tmp_path):
     path.write_text(path.read_text().replace('"meta": {}', '"meta": []'))
     with pytest.raises(DataError):
         load_model(path)
+
+
+@pytest.mark.parametrize("layer", [
+    # layer 0 has 2 outputs, this layer takes 3 inputs
+    {"input_dim": 3, "output_dim": 1, "activation": "sigmoid",
+     "weights": [[0.0], [0.0], [0.0]], "biases": [0.0]},
+    # a classifier's last activation must be sigmoid
+    {"input_dim": 2, "output_dim": 1, "activation": "relu",
+     "weights": [[0.0], [0.0]], "biases": [0.0]},
+], ids=["layers-do-not-chain", "classifier-ends-in-relu"])
+def test_load_rejects_a_model_that_cannot_be_built(tmp_path, layer):
+    path = tmp_path / "m.json"
+    save_model(build_model(2, 1, ModelKind.CLASSIFIER, [2], seed=0), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][1] = layer
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
 
 
 def test_load_rejects_unknown_format_version(tmp_path):

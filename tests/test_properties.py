@@ -124,8 +124,8 @@ def problems(draw):
 
 
 def scorer(model, reference):
-    cfg = SearchConfig(value_domains=reference.domains)
-    return Scorer(model, reference, cfg, MIN)
+    cfg = SearchConfig()
+    return Scorer(ScoreCache(model, reference), cfg, MIN)
 
 
 @PROPERTY
@@ -150,10 +150,10 @@ def test_distillation_targets_equal_scorer_upsilon(problem, seed):
 @given(problems(), st.floats(0.0, 1.0), st.integers(1, 4))
 def test_brute_force_bounds_every_beam_candidate(problem, omega, zeta):
     model, reference, _ = problem
-    exact = brute_force(model, reference, reference.domains, MIN)
+    exact = brute_force(model, reference, MIN)
     best_at = {s.stage: s.mean_lambda for s in exact.stage_trace}
-    cfg = SearchConfig(value_domains=reference.domains, omega=omega, zeta=zeta)
-    sn, trace = run_search(model, reference, cfg, MIN)
+    cfg = SearchConfig(omega=omega, zeta=zeta)
+    sn, trace = run_search(ScoreCache(model, reference), cfg, MIN)
     for c in sn + [c for stage in trace.stages for c in stage.candidates]:
         assert best_at[len(c.assignment)] <= c.mean_lambda(MIN)
 
@@ -164,14 +164,12 @@ def test_brute_force_bounds_every_beam_candidate(problem, omega, zeta):
 def test_warm_cache_scores_equal_fresh_scores(problem, omega, warm_omega,
                                               objective, zeta):
     model, reference, a = problem
-    cfg = SearchConfig(value_domains=reference.domains, omega=omega, zeta=zeta)
+    cfg = SearchConfig(omega=omega, zeta=zeta)
     cache = ScoreCache(model, reference)
-    run_search(model, reference, replace(cfg, omega=warm_omega), MIN,
-               cache=cache)
-    Scorer(model, reference, replace(cfg, omega=warm_omega), MIN,
-           cache=cache).score(a)
-    warm = Scorer(model, reference, cfg, objective, cache=cache).score(a)
-    fresh = Scorer(model, reference, cfg, objective).score(a)
+    run_search(cache, replace(cfg, omega=warm_omega), MIN)
+    Scorer(cache, replace(cfg, omega=warm_omega), MIN).score(a)
+    warm = Scorer(cache, cfg, objective).score(a)
+    fresh = Scorer(ScoreCache(model, reference), cfg, objective).score(a)
     assert warm.assignment == a
     assert np.array_equal(warm.lambda_per_label, fresh.lambda_per_label)
     assert np.array_equal(warm.upsilon_per_label, fresh.upsilon_per_label)
@@ -319,10 +317,10 @@ def test_batched_gamma_equals_gamma_from(problem, omega, direction, data):
     labels = data.draw(st.none() | st.lists(
         st.integers(0, model.n_outputs - 1), min_size=1, unique=True))
     objective = Objective(direction, None if labels is None else tuple(labels))
-    cfg = SearchConfig(value_domains=reference.domains, omega=omega)
+    cfg = SearchConfig(omega=omega)
     pairs = [FeatureAssignment.of((j, float(v)))
              for j, dom in enumerate(reference.domains) for v in dom]
-    for c in Scorer(model, reference, cfg, objective).score_all(
+    for c in Scorer(ScoreCache(model, reference), cfg, objective).score_all(
             [FeatureAssignment.empty(), a] + pairs):
         want = gamma_from(c.lambda_per_label, c.upsilon_per_label, omega,
                           objective)
@@ -378,14 +376,15 @@ def test_sweep_omega_file_equals_one_uncached_search_per_omega(tmp_path):
     assert cli.main(["sweep-omega", "--config", str(config)]) == 0
 
     cfg = cli.load_config(config)
-    _, model, reference, _, names = cli._load_search_inputs(cfg)
-    sc = cli._search_config(cfg, reference)
+    _, cache, names = cli._load_search_inputs(cfg)
+    sc = cli._search_config(cfg, cache.reference.n_features)
     text = io.StringIO(newline="")
     text.write(f"# schema_version={cli.SCHEMA_VERSION}\n")
     writer = csv.writer(text)
     writer.writerow(["omega", "best_mean_lambda", "best_gamma", "assignment"])
     for omega in cfg["sweep"]["grid"]:
-        sn, _ = run_search(model, reference, replace(sc, omega=omega), MIN)
+        sn, _ = run_search(ScoreCache(cache.model, cache.reference),
+                           replace(sc, omega=omega), MIN)
         by_lambda = min(sn, key=lambda c: c.mean_lambda(MIN))
         writer.writerow([repr(omega), repr(by_lambda.mean_lambda(MIN)),
                          repr(sn[0].gamma),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sensopt.baseline import exhaustive_gamma_by_depth
-from sensopt.errors import ConfigError
+from sensopt.errors import ConfigError, ShapeError
 from sensopt.nn import Activation, Layer, MLPModel, ModelKind, build_model, forward
 from sensopt.search import (
     Candidate,
@@ -17,7 +17,6 @@ from sensopt.search import (
     lambda_of,
     prune,
     run_search,
-    score_candidate,
     top_feature_report,
     write_trace_csv,
 )
@@ -108,7 +107,8 @@ def test_lambda_of_constant_model():
 def test_score_candidate_gamma_recomputable():
     M, T = make_setup(seed=5)
     for omega in (0.0, 0.3, 0.6, 1.0):
-        c = score_candidate(M, T, FeatureAssignment.of((0, 1.0)), omega, MIN)
+        c = Scorer(ScoreCache(M, T), SearchConfig(omega=omega), MIN).score(
+            FeatureAssignment.of((0, 1.0)))
         again = gamma_from(c.lambda_per_label, c.upsilon_per_label, omega, MIN)
         assert abs(c.gamma - again) <= 1e-12
         assert np.all(c.lambda_per_label > 0.0)
@@ -116,9 +116,8 @@ def test_score_candidate_gamma_recomputable():
 
 
 def make_scorer(M, T, omega=0.6, zeta=5, objective=MIN, max_depth=None):
-    cfg = SearchConfig(value_domains=T.domains, omega=omega, zeta=zeta,
-                       max_depth=max_depth)
-    return cfg, Scorer(M, T, cfg, objective)
+    cfg = SearchConfig(omega=omega, zeta=zeta, max_depth=max_depth)
+    return cfg, Scorer(ScoreCache(M, T), cfg, objective)
 
 
 def test_expand_counts():
@@ -141,7 +140,8 @@ def test_expand_scores_match_independent_calls():
     cfg, scorer = make_scorer(M, T, omega=0.4)
     beam = prune(expand([scorer.score(FeatureAssignment.empty())], cfg, scorer), 3)
     for c in expand(beam, cfg, scorer):
-        again = score_candidate(M, T, c.assignment, 0.4, MIN)
+        again = Scorer(ScoreCache(M, T), SearchConfig(omega=0.4),
+                       MIN).score(c.assignment)
         assert c.gamma == again.gamma
         assert np.array_equal(c.lambda_per_label, again.lambda_per_label)
 
@@ -179,8 +179,8 @@ def test_prune_collapses_duplicate_assignments():
 
 def test_run_search_depth_zero():
     M, T = make_setup(seed=13)
-    cfg = SearchConfig(value_domains=T.domains, max_depth=0)
-    sn, trace = run_search(M, T, cfg, MIN)
+    cfg = SearchConfig(max_depth=0)
+    sn, trace = run_search(ScoreCache(M, T), cfg, MIN)
     assert len(sn) == 1
     assert sn[0].assignment == FeatureAssignment.empty()
     assert len(trace.stages) == 1
@@ -188,8 +188,8 @@ def test_run_search_depth_zero():
 
 def test_run_search_trace_shape_and_monotone_best():
     M, T = make_setup(n=4, values=3, seed=17)
-    cfg = SearchConfig(value_domains=T.domains, zeta=3)
-    sn, trace = run_search(M, T, cfg, MIN)
+    cfg = SearchConfig(zeta=3)
+    sn, trace = run_search(ScoreCache(M, T), cfg, MIN)
     assert len(trace.stages) == 5
     for s, record in enumerate(trace.stages):
         assert record.stage == s
@@ -206,8 +206,8 @@ def test_run_search_returns_running_best_from_early_stage():
     # with omega=0 and minimize, gamma is the sensitivity itself; the empty
     # assignment scores exactly 1, above every proper fixing
     M, T = make_setup(n=3, values=2, seed=19)
-    cfg = SearchConfig(value_domains=T.domains, omega=0.0, zeta=2)
-    sn, trace = run_search(M, T, cfg, MIN)
+    cfg = SearchConfig(omega=0.0, zeta=2)
+    sn, trace = run_search(ScoreCache(M, T), cfg, MIN)
     assert sn[0].assignment == FeatureAssignment.empty()
     assert abs(sn[0].gamma - 1.0) <= 1e-12
     assert all(len(c.assignment) in (0, 3) for c in sn)
@@ -215,9 +215,9 @@ def test_run_search_returns_running_best_from_early_stage():
 
 def test_run_search_deterministic():
     M, T = make_setup(n=4, values=2, seed=23)
-    cfg = SearchConfig(value_domains=T.domains, zeta=4)
-    sn1, tr1 = run_search(M, T, cfg, MIN)
-    sn2, tr2 = run_search(M, T, cfg, MIN)
+    cfg = SearchConfig(zeta=4)
+    sn1, tr1 = run_search(ScoreCache(M, T), cfg, MIN)
+    sn2, tr2 = run_search(ScoreCache(M, T), cfg, MIN)
     assert [c.assignment.key for c in sn1] == [c.assignment.key for c in sn2]
     assert [c.gamma for c in sn1] == [c.gamma for c in sn2]
     for r1, r2 in zip(tr1.stages, tr2.stages):
@@ -230,10 +230,10 @@ def test_wide_beam_matches_exhaustive_per_depth():
     # distinct assignment counts per arity for n=3, 2 values: 1, 6, 12, 8;
     # zeta=12 keeps everything, so each stage's best must equal enumeration
     M, T = make_setup(n=3, values=2, k=16, seed=29)
-    cfg = SearchConfig(value_domains=T.domains, zeta=12)
-    sn, trace = run_search(M, T, cfg, MIN)
-    scorer = Scorer(M, T, cfg, MIN)
-    oracle = exhaustive_gamma_by_depth(scorer, T.domains, max_depth=3)
+    cfg = SearchConfig(zeta=12)
+    sn, trace = run_search(ScoreCache(M, T), cfg, MIN)
+    scorer = Scorer(ScoreCache(M, T), cfg, MIN)
+    oracle = exhaustive_gamma_by_depth(scorer, max_depth=3)
     for depth, best in enumerate(oracle):
         stage_best = trace.stages[depth].candidates[0]
         assert stage_best.gamma == best.gamma
@@ -242,8 +242,8 @@ def test_wide_beam_matches_exhaustive_per_depth():
 
 def test_omega_one_matches_pure_lambda_argmin():
     M, T = make_setup(n=3, values=3, seed=31)
-    cfg = SearchConfig(value_domains=T.domains, omega=1.0, zeta=1, max_depth=1)
-    sn, trace = run_search(M, T, cfg, MIN)
+    cfg = SearchConfig(omega=1.0, zeta=1, max_depth=1)
+    sn, trace = run_search(ScoreCache(M, T), cfg, MIN)
     winner = trace.stages[1].candidates[0]
 
     best_key, best_lam = None, None
@@ -260,28 +260,28 @@ def test_omega_one_matches_pure_lambda_argmin():
 def test_search_config_validation():
     M, T = make_setup()
     with pytest.raises(ConfigError):
-        SearchConfig(value_domains=T.domains, omega=1.5).validate(3)
+        SearchConfig(omega=1.5).validate(3)
     with pytest.raises(ConfigError):
-        SearchConfig(value_domains=T.domains, zeta=0).validate(3)
+        SearchConfig(zeta=0).validate(3)
     with pytest.raises(ConfigError):
-        SearchConfig(value_domains=T.domains, max_depth=9).validate(3)
+        SearchConfig(max_depth=9).validate(3)
     with pytest.raises(ConfigError):
-        SearchConfig(value_domains=[np.array([0.0]), np.array([])]).validate(2)
+        ReferenceSet(T.features[:, :2], domains=[np.array([0.0]), np.array([])])
     with pytest.raises(ConfigError):
-        run_search(M, T, SearchConfig(value_domains=[[], [0.0], [0.0]]), MIN)
+        ReferenceSet(T.features, domains=[[], [0.0], [0.0]])
 
 
 def test_top_feature_report_matches_scan():
     M, T = make_setup(n=3, values=3, seed=37)
-    cfg = SearchConfig(value_domains=T.domains)
-    top = top_feature_report(M, T, cfg, MIN, k=1)
-    scan = top_feature_report(M, T, cfg, MIN, k=100)
+    cfg = SearchConfig()
+    top = top_feature_report(ScoreCache(M, T), cfg, MIN, k=1)
+    scan = top_feature_report(ScoreCache(M, T), cfg, MIN, k=100)
     assert len(scan) == 9  # k past the total returns every pair
     assert (top[0].feature, top[0].value) == (scan[0].feature, scan[0].value)
     gammas = [e.gamma for e in scan]
     assert gammas == sorted(gammas, reverse=True)
     with pytest.raises(ConfigError):
-        top_feature_report(M, T, cfg, MIN, k=0)
+        top_feature_report(ScoreCache(M, T), cfg, MIN, k=0)
 
 
 def test_top_feature_report_dead_model_equal_contributions():
@@ -291,8 +291,8 @@ def test_top_feature_report_dead_model_equal_contributions():
                      domains=[np.array([0.0, 1.0])] * n)
     M = constant_classifier(n, 2)
     ds = constant_regressor(2 * n, 2, value=0.0)
-    cfg = SearchConfig(value_domains=T.domains)
-    report = top_feature_report(M, T, cfg, MIN, k=50, surrogate=ds)
+    cfg = SearchConfig()
+    report = top_feature_report(ScoreCache(M, T, ds), cfg, MIN, k=50)
     deltas = np.array([e.gamma_delta for e in report])
     assert np.all(np.abs(deltas) <= 1e-9)
 
@@ -301,8 +301,9 @@ def test_surrogate_mode_uses_surrogate_scores():
     n = 3
     M, T = make_setup(n=n, seed=43)
     ds = constant_regressor(2 * n, 2, value=0.25)
-    cfg = SearchConfig(value_domains=T.domains, omega=0.6)
-    c = Scorer(M, T, cfg, MIN, surrogate=ds).score(FeatureAssignment.of((0, 1.0)))
+    cfg = SearchConfig(omega=0.6)
+    c = Scorer(ScoreCache(M, T, ds), cfg, MIN).score(
+        FeatureAssignment.of((0, 1.0)))
     assert np.all(c.upsilon_per_label == 0.25)
     want = gamma_from(c.lambda_per_label, np.full(2, 0.25), 0.6, MIN)
     assert c.gamma == want
@@ -311,32 +312,23 @@ def test_surrogate_mode_uses_surrogate_scores():
 def test_upsilon_comes_from_the_surrogate_exactly_when_one_is_given():
     M, T = make_setup(n=3, seed=43)
     a = FeatureAssignment.of((0, 1.0))
-    cfg = SearchConfig(value_domains=T.domains)
+    cfg = SearchConfig()
     oracle = sensitivity_from_predictions(forward(M, clone_and_fix(T, a)),
                                           forward(M, T.features))
-    plain = Scorer(M, T, cfg, MIN).score(a)
+    plain = Scorer(ScoreCache(M, T), cfg, MIN).score(a)
     assert np.all(np.abs(plain.upsilon_per_label - oracle) <= 1e-12)
     ds = constant_regressor(6, 2, value=0.25)
-    distilled = Scorer(M, T, cfg, MIN, surrogate=ds).score(a)
+    distilled = Scorer(ScoreCache(M, T, ds), cfg, MIN).score(a)
     assert np.array_equal(distilled.upsilon_per_label, np.full(2, 0.25))
     assert not np.array_equal(oracle, np.full(2, 0.25))
     # lambda is the classifier's either way
     assert np.array_equal(distilled.lambda_per_label, plain.lambda_per_label)
 
 
-def test_scorer_refuses_a_cache_built_for_other_inputs():
-    # oracle and surrogate scores, or two models' scores, never mix
-    M, T = make_setup(seed=47)
-    cfg = SearchConfig(value_domains=T.domains)
-    cache = ScoreCache(M, T)
-    surrogate = constant_regressor(6, 2, value=0.25)
-    with pytest.raises(ConfigError):
-        Scorer(M, T, cfg, MIN, surrogate=surrogate, cache=cache)
-    with pytest.raises(ConfigError):
-        Scorer(M, T, cfg, MIN, cache=ScoreCache(M, T, surrogate))
-    other, _ = make_setup(seed=48)
-    with pytest.raises(ConfigError):
-        run_search(other, T, cfg, MIN, cache=cache)
+def test_score_cache_refuses_a_surrogate_of_another_label_count():
+    M, T = make_setup(n=3, labels=2, seed=47)
+    with pytest.raises(ShapeError):
+        ScoreCache(M, T, constant_regressor(6, 3))
 
 
 def test_format_assignment():
@@ -348,8 +340,8 @@ def test_format_assignment():
 
 def test_write_trace_csv(tmp_path):
     M, T = make_setup(n=3, values=2, seed=47)
-    cfg = SearchConfig(value_domains=T.domains, zeta=2)
-    _, trace = run_search(M, T, cfg, MIN)
+    cfg = SearchConfig(zeta=2)
+    _, trace = run_search(ScoreCache(M, T), cfg, MIN)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path, MIN, method="beam")
     lines = path.read_text().splitlines()

@@ -5,7 +5,7 @@ import pytest
 
 from sensopt.errors import DegenerateReferenceError, DomainError
 from sensopt.nn import Activation, Layer, MLPModel, ModelKind, build_model, forward
-from sensopt.search import Direction, Objective, Scorer, SearchConfig
+from sensopt.search import Direction, Objective, ScoreCache, Scorer, SearchConfig
 from sensopt.sensitivity import (
     FeatureAssignment,
     ReferenceSet,
@@ -167,8 +167,9 @@ def test_sensitivity_degenerate_variance_names_label():
     l = Layer(np.zeros((2, 2)), np.zeros(2), Activation.SIGMOID)
     model = MLPModel([l], ModelKind.CLASSIFIER)
     T = ReferenceSet(np.random.default_rng(0).normal(size=(10, 2)))
-    cfg = SearchConfig(value_domains=[[0.0]] * 2)
-    scorer = Scorer(model, T, cfg, Objective(Direction.MINIMIZE_LABELS))
+    cfg = SearchConfig()
+    scorer = Scorer(ScoreCache(model, T), cfg,
+                    Objective(Direction.MINIMIZE_LABELS))
     with pytest.raises(DegenerateReferenceError) as err:
         scorer.score(FeatureAssignment.empty())
     assert err.value.label == 0
@@ -180,8 +181,9 @@ def test_sensitivity_dead_feature_invariance():
     model = linear_model([0.7, -0.4, 1.1, 0.0])
     rng = np.random.default_rng(11)
     T = ReferenceSet(rng.normal(size=(200, 4)))
-    cfg = SearchConfig(value_domains=[[0.0]] * 4)
-    scorer = Scorer(model, T, cfg, Objective(Direction.MINIMIZE_LABELS))
+    cfg = SearchConfig()
+    scorer = Scorer(ScoreCache(model, T), cfg,
+                    Objective(Direction.MINIMIZE_LABELS))
     base = FeatureAssignment.of((0, 0.3))
     base_score = scorer.score(base).upsilon_per_label
     for v in (-2.0, 0.0, 5.0):

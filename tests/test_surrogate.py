@@ -207,6 +207,7 @@ def test_surrogate_save_load_round_trip(tmp_path):
 @pytest.mark.parametrize("meta", [
     {"n_labels": 2, "encoding_version": 1},  # n_features missing
     {"n_features": 3, "n_labels": 2, "encoding_version": 1},  # width is 8
+    {"n_features": 4, "n_labels": 3, "encoding_version": 1},  # 2 outputs
 ])
 def test_surrogate_load_rejects_bad_meta_as_data_error(tmp_path, meta):
     path = tmp_path / "ds.json"
