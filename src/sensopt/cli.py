@@ -406,7 +406,8 @@ def cmd_distill(cfg: dict) -> int:
 
 
 def _load_model(cfg: dict, train_set):
-    """The trained classifier, refused if it was trained on other columns."""
+    """The trained classifier, refused if it was trained on other columns
+    or its network's widths disagree with the data."""
     model, meta = load_model(_artifact_path(cfg, MODEL_FILE))
     features = [f.name for f in train_set.features]
     trained = (meta.get("feature_names"), meta.get("label_names"))
@@ -415,6 +416,13 @@ def _load_model(cfg: dict, train_set):
             f"{MODEL_FILE} was trained on features {trained[0]} and labels "
             f"{trained[1]}, but the data gives features {features} and "
             f"labels {train_set.label_names} (rerun train)")
+    if (model.n_inputs, model.n_outputs) != (train_set.n_features,
+                                             train_set.n_labels):
+        raise DataError(
+            f"{MODEL_FILE} takes {model.n_inputs} inputs and gives "
+            f"{model.n_outputs} outputs, but the data gives "
+            f"{train_set.n_features} features and {train_set.n_labels} labels "
+            f"(rerun train)")
     return model
 
 

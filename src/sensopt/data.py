@@ -222,20 +222,23 @@ def format_value(meta: FeatureMeta, value: float) -> str:
 
 
 def save_csv(dataset: Dataset, path):
-    """Export with categorical cells written as their original text."""
+    """Export with categorical cells written as their original text, found
+    by each value's position in the feature's domain (as `format_value`
+    finds it), so scaled codes keep their category."""
+    columns = []
+    for meta, col in zip(dataset.features, dataset.X.T):
+        if meta.kind is FeatureKind.CATEGORICAL and meta.raw_categories:
+            values, inverse = np.unique(col, return_inverse=True)
+            texts = [format_value(meta, v) for v in values]
+            columns.append([texts[i] for i in inverse.tolist()])
+        else:
+            columns.append(list(map(repr, col.tolist())))
+    for col in dataset.Y.T.astype(np.int64).tolist():
+        columns.append(list(map(str, col)))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f.name for f in dataset.features] + dataset.label_names)
-        for r in range(dataset.n_samples):
-            cells = []
-            for j, meta in enumerate(dataset.features):
-                v = dataset.X[r, j]
-                if meta.kind is FeatureKind.CATEGORICAL and meta.raw_categories:
-                    cells.append(meta.raw_categories[int(round(v))])
-                else:
-                    cells.append(repr(float(v)))
-            cells += [str(int(v)) for v in dataset.Y[r]]
-            writer.writerow(cells)
+        writer.writerows(zip(*columns))
 
 
 def split(dataset: Dataset, test_fraction: float = 0.10, seed: int = 0,
@@ -373,22 +376,32 @@ class GroundTruth:
     weights: np.ndarray  # per-label slope on the mismatch distance
     biases: np.ndarray  # per-label intercept
 
-    def mismatch(self, codes: np.ndarray) -> float:
-        """Mean normalized |code - planted| over planted features."""
+    def mismatch(self, codes: np.ndarray) -> float | np.ndarray:
+        """Mean normalized |code - planted| over planted features, along
+        the last axis: a float for one row, an (m,) array for (m, n)."""
+        codes = np.asarray(codes, dtype=np.float64)
         scale = self.spec.values_per_feature - 1
-        gaps = [abs(codes[j] - v) / scale for j, v in self.planted]
-        return float(np.mean(gaps)) if gaps else 0.0
+        columns = [j for j, _ in self.planted]
+        values = [v for _, v in self.planted]
+        # take keeps the gaps C-ordered, so numpy sums each row pairwise
+        # as it sums one row alone; a fancy index would give an F-ordered
+        # batch, summed column by column with other bits
+        gaps = np.abs(codes.take(columns, axis=-1) - values) / scale
+        return gaps.sum(axis=-1) / max(len(columns), 1)
 
     def noiseless_logits(self, codes: np.ndarray) -> np.ndarray:
+        """Per-label logits along the last axis: (L,) for one row, (m, L)
+        for an (m, n) batch."""
         codes = np.asarray(codes, dtype=np.float64)
         scale = self.spec.values_per_feature - 1
         planted = dict(self.planted.pairs)
-        inter = 0.0
+        inter = np.zeros(codes.shape[:-1])
         for a, b, w in self.spec.interaction_terms:
-            ga = abs(codes[a] - planted[a]) / scale if a in planted else 0.0
-            gb = abs(codes[b] - planted[b]) / scale if b in planted else 0.0
-            inter += w * ga * gb
-        return self.biases + self.weights * self.mismatch(codes) + inter
+            ga = np.abs(codes[..., a] - planted[a]) / scale if a in planted else 0.0
+            gb = np.abs(codes[..., b] - planted[b]) / scale if b in planted else 0.0
+            inter = inter + w * ga * gb
+        return (self.biases + self.weights * self.mismatch(codes)[..., None]
+                + inter[..., None])
 
     def noiseless_probabilities(self, codes: np.ndarray) -> np.ndarray:
         z = self.noiseless_logits(codes)
@@ -409,9 +422,10 @@ class GroundTruth:
         }
 
 
-def _row_uniform(seed: int, tag: str, label: int, codes) -> float:
-    """Uniform in (0,1), a pure function of (seed, tag, label, row values)."""
-    key = f"{seed}|{tag}|{label}|" + ",".join(str(int(c)) for c in codes)
+def _row_uniform(seed: int, tag: str, label: int, row_key: str) -> float:
+    """Uniform in (0,1), a pure function of (seed, tag, label, row values);
+    `row_key` is the row's integer codes joined by commas."""
+    key = f"{seed}|{tag}|{label}|{row_key}"
     h = hashlib.sha256(key.encode()).digest()
     return (int.from_bytes(h[:8], "big") + 0.5) / 2.0**64
 
@@ -439,17 +453,17 @@ def generate_synthetic(spec: SyntheticSpec):
     biases = -2.2 - 0.2 * np.arange(L)
     truth = GroundTruth(spec, planted, weights, biases)
 
-    X = rng.integers(0, K, size=(m, n)).astype(np.float64)
+    codes = rng.integers(0, K, size=(m, n))
+    X = codes.astype(np.float64)
     Y = np.zeros((m, L))
-    for r in range(m):
-        logits = truth.noiseless_logits(X[r])
-        for l in range(L):
-            z = logits[l]
+    for r, logits in enumerate(truth.noiseless_logits(X).tolist()):
+        key = ",".join(map(str, codes[r].tolist()))
+        for l, z in enumerate(logits):
             if spec.noise_level > 0:
-                u = _row_uniform(spec.seed, "noise", l, X[r])
+                u = _row_uniform(spec.seed, "noise", l, key)
                 z = z + spec.noise_level * _STD_NORMAL.inv_cdf(u)
             p = 1.0 / (1.0 + math.exp(-z))
-            Y[r, l] = 1.0 if _row_uniform(spec.seed, "label", l, X[r]) < p else 0.0
+            Y[r, l] = 1.0 if _row_uniform(spec.seed, "label", l, key) < p else 0.0
 
     features = [
         FeatureMeta(f"f{j}", FeatureKind.CATEGORICAL, np.arange(K, dtype=np.float64))

@@ -330,6 +330,38 @@ def test_artifact_that_describes_no_usable_model_exits_3(tmp_path, capsys,
     assert name in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", ["inputs", "outputs"])
+def test_model_whose_widths_disagree_with_the_data_exits_3(tmp_path, capsys,
+                                                           edit):
+    # the meta still names the data's columns; only the network changed:
+    # 3 inputs used to end in a traceback, 3 outputs in a mean lambda over
+    # a phantom third label
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
+                                             label_count=2, seed=1))
+    save_csv(ds, tmp_path / "data.csv")
+    cfg = {"data": {"csv": "data.csv", "labels": ["label0", "label1"]},
+           "model": {"hidden_dims": [4], "epochs": 5}}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text())
+    if edit == "inputs":
+        first = doc["layers"][0]
+        first["input_dim"] = 3
+        first["weights"] = [[0.0] * first["output_dim"]] * 3
+    else:
+        last = doc["layers"][-1]
+        last["output_dim"] = 3
+        last["weights"] = [[0.0] * 3 for _ in last["weights"]]
+        last["biases"] = [0.0] * 3
+    path.write_text(json.dumps(doc))
+    assert main(["baseline", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "model.json" in err and "rerun train" in err
+    assert "Traceback" not in err
+
+
 def test_missing_artifact_exits_3(tmp_path, capsys):
     ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
                                              label_count=1, seed=1))

@@ -107,6 +107,20 @@ def test_save_csv_round_trip(tmp_path):
     assert again.features[1].raw_categories == ["red", "blue"]
 
 
+def test_save_csv_writes_scaled_categories_by_domain_position(tmp_path):
+    # scaled codes 0, 0.5, 1, 0.5 are categories a, b, c, b: rounding them
+    # to an index would write a, a, b, a
+    p = write(tmp_path, "c,y\na,0\nb,1\nc,0\nb,1\n")
+    ds = load_csv(p, ["y"])
+    scaled = fit_scaler(ds).transform(ds)
+    assert scaled.X[:, 0].tolist() == [0.0, 0.5, 1.0, 0.5]
+    out = tmp_path / "scaled.csv"
+    save_csv(scaled, out)
+    assert out.read_text().splitlines() == ["c,y", "a,0", "b,1", "c,0", "b,1"]
+    meta = scaled.features[0]
+    assert [format_value(meta, v) for v in scaled.X[:, 0]] == ["a", "b", "c", "b"]
+
+
 def test_format_value():
     meta = FeatureMeta("c", FeatureKind.CATEGORICAL, np.array([0.0, 1.0]),
                        raw_categories=["red", "blue"])

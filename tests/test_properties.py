@@ -15,16 +15,20 @@ bit, a textbook SGD loop written out here, divergence included. Loading a
 config either succeeds or raises ConfigError, whatever JSON value a field
 holds; `save_csv` then `load_csv` gives back the dataset, `load_csv` equals
 a per-cell parse written out here on edge cells, and no CSV bytes make
-`train` exit 1. Examples are derandomized so the suite stays
-deterministic.
+`train` exit 1. `generate_synthetic`, and `GroundTruth`'s logits on one
+batch, equal bit for bit the per-row generator written out here, and
+`save_csv`'s bytes equal a per-cell writer's, scaled categories included.
+Examples are derandomized so the suite stays deterministic.
 """
 
 import csv
+import hashlib
 import io
 import itertools
 import json
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -39,6 +43,8 @@ from sensopt.data import (
     FeatureMeta,
     SyntheticSpec,
     _parse_float,
+    fit_scaler,
+    format_value,
     generate_synthetic,
     load_csv,
     quantile_domain,
@@ -658,3 +664,125 @@ def test_load_csv_equals_the_per_cell_parse(config_dir, n, m, bad_labels, data):
         assert meta.domain.tobytes() == domain.tobytes()
         assert dataset.X[:, j].tobytes() == values.tobytes()
         assert meta.raw_categories == categories
+
+
+def textbook_mismatch(spec, planted, codes):
+    scale = spec.values_per_feature - 1
+    gaps = [abs(codes[j] - v) / scale for j, v in planted]
+    return float(np.mean(gaps)) if gaps else 0.0
+
+
+def textbook_logits(spec, planted, weights, biases, codes):
+    """One row's per-label logits, one feature and one term at a time."""
+    scale = spec.values_per_feature - 1
+    mismatch = textbook_mismatch(spec, planted, codes)
+    plant = dict(planted.pairs)
+    inter = 0.0
+    for a, b, w in spec.interaction_terms:
+        ga = abs(codes[a] - plant[a]) / scale if a in plant else 0.0
+        gb = abs(codes[b] - plant[b]) / scale if b in plant else 0.0
+        inter += w * ga * gb
+    return biases + weights * mismatch + inter
+
+
+def textbook_uniform(seed, tag, label, codes):
+    key = f"{seed}|{tag}|{label}|" + ",".join(str(int(c)) for c in codes)
+    h = hashlib.sha256(key.encode()).digest()
+    return (int.from_bytes(h[:8], "big") + 0.5) / 2.0**64
+
+
+def textbook_synthetic(spec):
+    """`generate_synthetic` written out per row and per cell: the planted
+    assignment, weights and biases, then X and Y."""
+    rng = np.random.default_rng(spec.seed)
+    K, n, m, L = (spec.values_per_feature, spec.n_features, spec.n_samples,
+                  spec.label_count)
+    planted = spec.planted_assignment
+    if planted is None:
+        planted = FeatureAssignment(
+            tuple((j, float(c)) for j, c in enumerate(rng.integers(0, K, size=n))))
+    weights = 3.0 + 0.5 * np.arange(L)
+    biases = -2.2 - 0.2 * np.arange(L)
+    X = rng.integers(0, K, size=(m, n)).astype(np.float64)
+    Y = np.zeros((m, L))
+    for r in range(m):
+        logits = textbook_logits(spec, planted, weights, biases, X[r])
+        for l in range(L):
+            z = logits[l]
+            if spec.noise_level > 0:
+                u = textbook_uniform(spec.seed, "noise", l, X[r])
+                z = z + spec.noise_level * NormalDist().inv_cdf(u)
+            p = 1.0 / (1.0 + math.exp(-z))
+            Y[r, l] = 1.0 if textbook_uniform(spec.seed, "label", l, X[r]) < p else 0.0
+    return planted, weights, biases, X, Y
+
+
+@st.composite
+def synthetic_specs(draw):
+    """Specs with 2-5 values per feature, no, light or heavy noise, a full
+    (default), partial or empty plant and interaction terms; up to 12
+    features, so the mean's pairwise sum runs past its 8-way unrolling."""
+    n, K = draw(st.integers(1, 12)), draw(st.integers(2, 5))
+    plant = draw(st.none() | st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, K - 1)),
+        max_size=n, unique_by=lambda pair: pair[0]))
+    terms = draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        st.sampled_from([0.0, 0.25, 1.5, 2])), max_size=3))
+    return SyntheticSpec(
+        n_features=n, n_samples=draw(st.integers(1, 25)),
+        label_count=draw(st.integers(1, 3)),
+        planted_assignment=None if plant is None else FeatureAssignment(
+            tuple((j, float(v)) for j, v in sorted(plant))),
+        interaction_terms=tuple(terms),
+        noise_level=draw(st.sampled_from([0.0, 0.1, 0.7])),
+        seed=draw(st.integers(0, 2**32)), values_per_feature=K)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(synthetic_specs())
+def test_generate_synthetic_equals_the_per_row_loop_bit_for_bit(spec):
+    planted, weights, biases, X, Y = textbook_synthetic(spec)
+    dataset, truth = generate_synthetic(spec)
+    assert truth.planted == planted
+    assert dataset.X.tobytes() == X.tobytes()
+    assert dataset.Y.tobytes() == Y.tobytes()
+    # one batch, and each row on its own, give the textbook row's bits
+    batch = truth.noiseless_logits(X)
+    assert batch.shape == (spec.n_samples, spec.label_count)
+    mismatch = truth.mismatch(X)
+    for r, row in enumerate(X):
+        want = textbook_logits(spec, planted, weights, biases, row)
+        assert batch[r].tobytes() == want.tobytes()
+        assert truth.noiseless_logits(row).tobytes() == want.tobytes()
+        gap = textbook_mismatch(spec, planted, row)
+        assert mismatch[r] == truth.mismatch(row) == gap
+
+
+def save_csv_per_cell(dataset, path):
+    """`save_csv` written out one cell at a time: category text through
+    `format_value`, other features as `repr`, labels as integers."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in dataset.features] + dataset.label_names)
+        for x, y in zip(dataset.X, dataset.Y):
+            cells = [format_value(meta, v)
+                     if meta.kind is FeatureKind.CATEGORICAL and meta.raw_categories
+                     else repr(float(v))
+                     for meta, v in zip(dataset.features, x)]
+            writer.writerow(cells + [str(int(v)) for v in y])
+
+
+@PROPERTY
+@given(datasets(), st.booleans())
+def test_save_csv_equals_the_per_cell_writer(config_dir, dataset, scale):
+    # scaled, a categorical column holds codes in [0, 1], not integers
+    if scale:
+        try:
+            dataset = fit_scaler(dataset).transform(dataset)
+        except DataError:
+            pass
+    save_csv(dataset, config_dir / "columns.csv")
+    save_csv_per_cell(dataset, config_dir / "cells.csv")
+    assert ((config_dir / "columns.csv").read_bytes()
+            == (config_dir / "cells.csv").read_bytes())
