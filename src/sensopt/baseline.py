@@ -10,14 +10,14 @@ for additive responses but misses interactions; tests rely on both facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
 from .nn import MLPModel
 from .sensitivity import FeatureAssignment, ReferenceSet, SensitivityKernel
-from .search import Direction, Objective, Scorer, lambda_of
+from .search import Candidate, Objective, Scorer, lambda_of
 
 DEFAULT_BUDGET = 10**6
 
@@ -67,15 +67,6 @@ def enumerate_assignments(value_domains, max_arity: int):
                 )
 
 
-def _improves(value: float, key: tuple, best_value: float | None,
-              best_key: tuple | None, direction: Direction) -> bool:
-    if best_value is None:
-        return True
-    if value != best_value:
-        return direction.better(value, best_value)
-    return key < best_key
-
-
 def brute_force(M: MLPModel, T: ReferenceSet, objective: Objective,
                 max_arity: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> BaselineResult:
@@ -92,30 +83,35 @@ def brute_force(M: MLPModel, T: ReferenceSet, objective: Objective,
         raise BudgetExceededError(size, budget)
 
     kernel = SensitivityKernel(M, T)
+    rank = objective.direction.rank
+
+    def by_rank(best):
+        value, key = best
+        return rank(value), key
+
     evaluations = 0
-    unset = (None, None, None)
-    stage_best = {}  # arity -> (value, key, assignment)
+    stage_best = []  # per arity, (value, key) of its best assignment
     for arity in range(max_arity + 1):
+        subset_best = []
         for subset in combinations(range(len(domains)), arity):
             # One batch per subset: every value row, in domain order.
             combos = list(product(*(domains[j] for j in subset)))
             rows = np.array(combos, dtype=np.float64).reshape(len(combos), arity)
             values = objective.collapse_rows(kernel.lambdas(subset, rows))
             evaluations += len(values)
-            value = objective.direction.best(values.tolist())
-            key = min(tuple(zip(subset, rows[i].tolist()))
-                      for i in np.flatnonzero(values == value))
-            prev = stage_best.get(arity, unset)
-            if _improves(value, key, prev[0], prev[1], objective.direction):
-                stage_best[arity] = (value, key, FeatureAssignment(key))
-    # Same (value, key) order, so the best per-arity best is the overall best.
-    best = unset
-    for cand in stage_best.values():
-        if _improves(cand[0], cand[1], best[0], best[1], objective.direction):
-            best = cand
-    trace = [BaselineStage(arity, stage_best[arity][2], stage_best[arity][0])
-             for arity in sorted(stage_best)]
-    return BaselineResult("brute_force", best[2], best[0], evaluations, trace)
+            # The least rank over the whole batch, then keys only for the
+            # rows that tie on it.
+            ranks = rank(values)
+            ties = np.flatnonzero(ranks == ranks.min())
+            subset_best.append((float(values[ties[0]]),
+                                min(tuple(zip(subset, rows[i].tolist()))
+                                    for i in ties)))
+        stage_best.append(min(subset_best, key=by_rank))
+    value, key = min(stage_best, key=by_rank)
+    trace = [BaselineStage(arity, FeatureAssignment(k), v)
+             for arity, (v, k) in enumerate(stage_best)]
+    return BaselineResult("brute_force", FeatureAssignment(key), value,
+                          evaluations, trace)
 
 
 def sequential_dp(M: MLPModel, T: ReferenceSet, objective: Objective,
@@ -142,15 +138,9 @@ def sequential_dp(M: MLPModel, T: ReferenceSet, objective: Objective,
         cands = [current.extend(j, float(v)) for v in domains[j]]
         lam, _ = kernel.score_assignments(cands, upsilon=False)
         evaluations += len(cands)
-        best = None
-        best_value = None
-        for cand, cand_value in zip(cands, objective.collapse_rows(lam).tolist()):
-            if _improves(cand_value, cand.key, best_value,
-                         None if best is None else best.key,
-                         objective.direction):
-                best_value, best = cand_value, cand
-        current = best
-        value = best_value
+        current, value = min(
+            zip(cands, objective.collapse_rows(lam).tolist()),
+            key=lambda cv: (objective.direction.rank(cv[1]), cv[0].key))
         trace.append(BaselineStage(step, current, value))
     return BaselineResult("sequential", current, value, evaluations, trace)
 
@@ -167,11 +157,7 @@ def exhaustive_gamma_by_depth(scorer: Scorer, max_depth: int,
     size = enumeration_size(domains, max_depth)
     if size > budget:
         raise BudgetExceededError(size, budget)
-    best = {}
-    for a in enumerate_assignments(domains, max_depth):
-        c = scorer.score(a)
-        arity = len(a)
-        prev = best.get(arity)
-        if prev is None or (-c.gamma, c.key) < (-prev.gamma, prev.key):
-            best[arity] = c
-    return [best[arity] for arity in sorted(best)]
+    # The enumeration runs arity by arity, so each group is one arity.
+    scored = (scorer.score(a) for a in enumerate_assignments(domains, max_depth))
+    return [min(group, key=Candidate.rank)
+            for _, group in groupby(scored, key=lambda c: len(c.assignment))]

@@ -577,20 +577,19 @@ def cmd_compare(cfg: dict) -> int:
     """Per-stage, per-method best mean lambda, values copied verbatim from
     the source traces."""
     out = _out_dir(cfg)
-    better = cfg["search"]["direction"].better
+    rank = cfg["search"]["direction"].rank
 
-    merged: dict = {}  # (stage, method) -> mean_lambda string
+    values: dict = {}  # (stage, method) -> mean_lambda strings, file order
     for name in (TRACE_FILE, BASELINE_TRACE_FILE):
         for row in _read_trace(out / name):
             # trace.csv has no method column: its rows are the beam's.
             key = (int(row["stage"]), row.get("method", "beam"))
-            value = row["mean_lambda"]
-            if key not in merged or better(float(value), float(merged[key])):
-                merged[key] = value
+            values.setdefault(key, []).append(row["mean_lambda"])
 
     _write_csv(out / COMPARE_FILE, ["stage", "method", "mean_lambda"],
-               [[stage, method, merged[(stage, method)]]
-                for stage, method in sorted(merged)])
+               [[stage, method, min(values[(stage, method)],
+                                    key=lambda v: rank(float(v)))]
+                for stage, method in sorted(values)])
     return 0
 
 
@@ -602,8 +601,8 @@ def cmd_sweep_omega(cfg: dict) -> int:
     rows = []
     for omega in cfg["sweep"]["grid"]:
         sn, _ = run_search(cache, replace(sc, omega=omega), objective)
-        by_lambda = objective.direction.best(
-            sn, key=lambda c: c.mean_lambda(objective))
+        by_lambda = min(sn, key=lambda c: (
+            objective.direction.rank(c.mean_lambda(objective)), c.key))
         rows.append([repr(omega), repr(by_lambda.mean_lambda(objective)),
                      repr(sn[0].gamma),
                      format_assignment(by_lambda.assignment, feature_names)])

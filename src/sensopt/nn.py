@@ -90,16 +90,14 @@ class Layer:
 
 @dataclass
 class MLPModel:
-    """A stack of dense layers. An empty regressor acts as the identity map."""
+    """A non-empty stack of dense layers."""
 
     layers: list[Layer]
     kind: ModelKind
 
     def __post_init__(self):
         if not self.layers:
-            if self.kind is ModelKind.CLASSIFIER:
-                raise ConfigError("a classifier needs at least one sigmoid layer")
-            return
+            raise ConfigError("a model needs at least one layer")
         for a, b in zip(self.layers, self.layers[1:]):
             if a.output_dim != b.input_dim:
                 raise ShapeError(
@@ -112,12 +110,12 @@ class MLPModel:
             raise ConfigError("regressor final activation must be identity")
 
     @property
-    def n_inputs(self) -> int | None:
-        return self.layers[0].input_dim if self.layers else None
+    def n_inputs(self) -> int:
+        return self.layers[0].input_dim
 
     @property
-    def n_outputs(self) -> int | None:
-        return self.layers[-1].output_dim if self.layers else None
+    def n_outputs(self) -> int:
+        return self.layers[-1].output_dim
 
 
 @dataclass
@@ -194,8 +192,6 @@ def forward(model: MLPModel, inputs) -> np.ndarray:
     for inputs of sane magnitude (float64 saturates only past |z| ~ 700).
     """
     X = check_matrix(inputs, "inputs")
-    if not model.layers:
-        return X.copy()
     if X.shape[1] != model.n_inputs:
         raise ShapeError(
             f"input has {X.shape[1]} columns, model expects {model.n_inputs}"
@@ -374,8 +370,6 @@ def loss_gradients(model: MLPModel, X, Y, loss: LossKind | None = None):
     Returns a list of (dW, db) pairs, one per layer. The loss defaults to
     BCE for classifiers and MSE for regressors.
     """
-    if not model.layers:
-        return []
     X, Y = _check_training_data(model, X, Y)
     if loss is None:
         loss = LossKind.BCE if model.kind is ModelKind.CLASSIFIER else LossKind.MSE
@@ -406,8 +400,6 @@ def train(model: MLPModel, X, Y, cfg: TrainConfig):
     either way the weights have by then taken the rest of the epoch's steps.
     """
     cfg.validate()
-    if not model.layers:
-        raise ConfigError("cannot train a model with no layers")
     X, Y = _check_training_data(model, X, Y)
     m, size = X.shape[0], cfg.batch_size
     if size > m:
@@ -461,8 +453,6 @@ def grad_check(model: MLPModel, X, Y, step: float = 1e-5, analytic=None) -> floa
     """
     X = check_matrix(X, "X")
     Y = check_matrix(Y, "Y")
-    if not model.layers:
-        return 0.0
     loss_fn = bce_loss if model.kind is ModelKind.CLASSIFIER else mse_loss
     if analytic is None:
         analytic = loss_gradients(model, X, Y)

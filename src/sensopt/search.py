@@ -32,13 +32,9 @@ class Direction(Enum):
     MINIMIZE_LABELS = "minimize"
     MAXIMIZE_LABELS = "maximize"
 
-    def better(self, a: float, b: float) -> bool:
-        """Whether mean lambda `a` strictly beats `b`."""
-        return a < b if self is Direction.MINIMIZE_LABELS else a > b
-
-    def best(self, items, key=None):
-        """The first of `items` whose `key` no other item beats."""
-        return (min if self is Direction.MINIMIZE_LABELS else max)(items, key=key)
+    def rank(self, mean_lambda):
+        """Mean lambda (a float or an array) as a rank: lower is better."""
+        return mean_lambda if self is Direction.MINIMIZE_LABELS else -mean_lambda
 
 
 @dataclass(frozen=True)
@@ -100,6 +96,10 @@ class Candidate:
     @property
     def key(self) -> tuple:
         return self.assignment.key
+
+    def rank(self) -> tuple:
+        """The beam's order: higher gamma first, then the smaller key."""
+        return (-self.gamma, self.key)
 
     def mean_lambda(self, objective: Objective) -> float:
         return objective.collapse(self.lambda_per_label)
@@ -217,7 +217,7 @@ class Scorer:
                 for a, gamma, score in zip(assignments, gammas.tolist(), scores)]
 
 
-def expand(beam: list, config: SearchConfig, scorer: Scorer) -> list:
+def expand(beam: list, scorer: Scorer) -> list:
     """Every one-pair extension of every beam member, scored. No dedup here:
     the same assignment reached through different parents appears once per
     parent; prune collapses them. Fully-assigned members contribute nothing.
@@ -248,16 +248,7 @@ def prune(candidates: list, zeta: int) -> list:
     unique = {}
     for c in candidates:
         unique.setdefault(c.key, c)
-    ranked = sorted(unique.values(), key=lambda c: (-c.gamma, c.key))
-    return ranked[:zeta]
-
-
-def _better(challenger: Candidate, incumbent: Candidate | None) -> bool:
-    if incumbent is None:
-        return True
-    if challenger.gamma != incumbent.gamma:
-        return challenger.gamma > incumbent.gamma
-    return challenger.key < incumbent.key
+    return sorted(unique.values(), key=Candidate.rank)[:zeta]
 
 
 @dataclass
@@ -277,8 +268,8 @@ class SearchTrace:
 
 
 def _stage_best_lambda(candidates: list, objective: Objective) -> float:
-    return objective.direction.best([c.mean_lambda(objective)
-                                     for c in candidates])
+    return min((c.mean_lambda(objective) for c in candidates),
+               key=objective.direction.rank)
 
 
 def run_search(cache: ScoreCache, config: SearchConfig, objective: Objective):
@@ -296,17 +287,16 @@ def run_search(cache: ScoreCache, config: SearchConfig, objective: Objective):
     stages = [StageRecord(0, beam, best.gamma,
                           _stage_best_lambda(beam, objective))]
     for depth in range(1, config.depth(n_features) + 1):
-        scored = expand(beam, config, scorer)
-        for c in scored:
-            if _better(c, best):
-                best = c
+        scored = expand(beam, scorer)
+        # The incumbent comes first, so a tie keeps it.
+        best = min([best, *scored], key=Candidate.rank)
         beam = prune(scored, config.zeta)
         stages.append(StageRecord(depth, beam, best.gamma,
                                   _stage_best_lambda(beam, objective)))
 
     selected = {c.key: c for c in beam}
     selected.setdefault(best.key, best)
-    sn = sorted(selected.values(), key=lambda c: (-c.gamma, c.key))
+    sn = sorted(selected.values(), key=Candidate.rank)
     return sn, SearchTrace(stages)
 
 
@@ -323,7 +313,7 @@ class FeatureEffect:
 def top_feature_report(cache: ScoreCache, config: SearchConfig,
                        objective: Objective, k: int) -> list:
     """Rank every single-pair assignment of the reference's candidate grid
-    by gamma; k best, full scan order.
+    by `Candidate.rank` after a full scan; the k best.
 
     gamma_delta's sign marks pairs scoring below the do-nothing baseline.
     A `cache` shared with run_search makes every pair a lookup."""
@@ -336,12 +326,11 @@ def top_feature_report(cache: ScoreCache, config: SearchConfig,
              for j, domain in enumerate(cache.reference.grid)
              for v in domain]
     effects = []
-    for c in scorer.score_all(pairs):
+    for c in sorted(scorer.score_all(pairs), key=Candidate.rank)[:k]:
         (j, v), = c.assignment.pairs
         effects.append(FeatureEffect(j, v, c.gamma, c.gamma - gamma_empty,
                                      c.lambda_per_label, c.upsilon_per_label))
-    effects.sort(key=lambda e: (-e.gamma, e.feature, e.value))
-    return effects[:k]
+    return effects
 
 
 def format_assignment(a: FeatureAssignment, feature_names=None) -> str:
@@ -354,20 +343,15 @@ def format_assignment(a: FeatureAssignment, feature_names=None) -> str:
 
 
 def write_trace_csv(trace: SearchTrace, path, objective: Objective,
-                    feature_names=None, method: str | None = None):
+                    feature_names=None):
     """Stage-by-stage candidate table, one row per surviving candidate."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema_version={TRACE_SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
-        header = ["stage", "candidate_rank", "gamma", "mean_lambda", "assignment"]
-        if method is not None:
-            header.append("method")
-        writer.writerow(header)
+        writer.writerow(["stage", "candidate_rank", "gamma", "mean_lambda",
+                         "assignment"])
         for record in trace.stages:
             for rank, c in enumerate(record.candidates, start=1):
-                row = [record.stage, rank, repr(c.gamma),
-                       repr(c.mean_lambda(objective)),
-                       format_assignment(c.assignment, feature_names)]
-                if method is not None:
-                    row.append(method)
-                writer.writerow(row)
+                writer.writerow([record.stage, rank, repr(c.gamma),
+                                 repr(c.mean_lambda(objective)),
+                                 format_assignment(c.assignment, feature_names)])

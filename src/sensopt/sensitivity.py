@@ -252,8 +252,6 @@ class SensitivityKernel:
     """
 
     def __init__(self, model: MLPModel, reference: ReferenceSet):
-        if not model.layers:
-            raise ConfigError("scoring needs a model with at least one layer")
         if model.n_inputs != reference.n_features:
             raise ShapeError(
                 f"reference has {reference.n_features} columns, model "

@@ -38,9 +38,6 @@ from .sensitivity import (
 
 ENCODING_VERSION = 1
 
-DEFAULT_SAMPLES = 5000
-DEFAULT_HIDDEN = (64, 32)
-
 
 @dataclass(frozen=True)
 class AssignmentEncoding:
@@ -103,7 +100,7 @@ class DistillationSet:
 
 
 def build_distillation_set(model: MLPModel, reference: ReferenceSet,
-                           n_samples: int = DEFAULT_SAMPLES,
+                           n_samples: int,
                            max_arity: int | None = None,
                            seed: int = 0) -> DistillationSet:
     """Sample assignments and label them with exact sensitivity scores.
@@ -153,10 +150,8 @@ def split_holdout(dset: DistillationSet, holdout_fraction: float = 0.2):
     return head, tail
 
 
-def train_surrogate(dset: DistillationSet, cfg: TrainConfig | None = None):
+def train_surrogate(dset: DistillationSet, cfg: TrainConfig):
     """Fit the regression net. Needs at least two hidden layers and MSE loss."""
-    if cfg is None:
-        cfg = TrainConfig(loss=LossKind.MSE, hidden_dims=list(DEFAULT_HIDDEN))
     if len(cfg.hidden_dims) < 2:
         raise ConfigError("surrogate needs at least two hidden layers")
     if cfg.loss is not LossKind.MSE:

@@ -330,6 +330,31 @@ def test_artifact_that_describes_no_usable_model_exits_3(tmp_path, capsys,
     assert name in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name,flags", [
+    ("model.json", []),
+    ("surrogate.json", ["--mode", "surrogate"]),
+])
+def test_artifact_with_no_layers_exits_3(tmp_path, capsys, name, flags):
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
+                                             label_count=1, seed=1))
+    save_csv(ds, tmp_path / "data.csv")
+    cfg = {"data": {"csv": "data.csv", "labels": ["label0"]},
+           "model": {"hidden_dims": [4], "epochs": 5},
+           "surrogate": {"hidden_dims": [4, 4], "epochs": 5, "n_samples": 20}}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(["distill", "--config", str(p)]) == 0
+    path = tmp_path / "out" / name
+    doc = json.loads(path.read_text())
+    doc["layers"] = []
+    path.write_text(json.dumps(doc))
+    assert main(["optimize", "--config", str(p)] + flags) == 3
+    err = capsys.readouterr().err
+    assert name in err and "malformed model file" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit", ["inputs", "outputs"])
 def test_model_whose_widths_disagree_with_the_data_exits_3(tmp_path, capsys,
                                                            edit):

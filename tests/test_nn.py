@@ -77,12 +77,6 @@ def test_classifier_outputs_in_open_unit_interval():
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
-def test_empty_regressor_is_identity():
-    model = MLPModel([], ModelKind.REGRESSOR)
-    x = np.random.default_rng(1).normal(size=(4, 6))
-    assert np.array_equal(forward(model, x), x)
-
-
 def test_classifier_requires_layers_and_sigmoid():
     with pytest.raises(ConfigError):
         MLPModel([], ModelKind.CLASSIFIER)
@@ -290,12 +284,6 @@ def test_grad_check_detects_fault_injection():
     Y = (rng.random((6, 1)) < 0.5).astype(float)
     scaled = [(2.0 * dW, 2.0 * db) for dW, db in loss_gradients(model, X, Y)]
     assert grad_check(model, X, Y, analytic=scaled) > 0.1
-
-
-def test_grad_check_empty_model_returns_zero():
-    model = MLPModel([], ModelKind.REGRESSOR)
-    x = np.zeros((2, 2))
-    assert grad_check(model, x, x) == 0.0
 
 
 def test_build_model_glorot_bounds_and_seed():

@@ -6,7 +6,9 @@ depend on the assignment alone, never on the batch it is scored in, so
 their numbers must match bit for bit; so must a Scorer whose score cache
 was filled by another search and a fresh one. The kernel agrees with the
 naive clone-and-forward oracle to 1e-12 and keeps the exact boundary
-scores. References are drawn both continuous (every row its own group) and
+scores. Brute force and the sequential greedy pick what the ranking rule
+picks over assignments scored one at a time, exact ties included.
+References are drawn both continuous (every row its own group) and
 categorical (rows grouped by their free columns). The kernel's dense-table
 grouping equals the sorting `np.unique` grouping written out here, a batch
 cut into several chunks keeps each row's bits, and `Scorer.score_all`'s
@@ -36,7 +38,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sensopt import cli
-from sensopt.baseline import brute_force, enumerate_assignments, enumeration_size
+from sensopt.baseline import (
+    brute_force,
+    enumerate_assignments,
+    enumeration_size,
+    sequential_dp,
+)
 from sensopt.data import (
     Dataset,
     FeatureKind,
@@ -180,6 +187,43 @@ def test_warm_cache_scores_equal_fresh_scores(problem, omega, warm_omega,
     assert np.array_equal(warm.lambda_per_label, fresh.lambda_per_label)
     assert np.array_equal(warm.upsilon_per_label, fresh.upsilon_per_label)
     assert warm.gamma == fresh.gamma
+
+
+def ranked_best(model, reference, objective, assignments):
+    """(mean lambda, key) of the best assignment, each scored alone: the
+    least `Direction.rank`, then the smaller key."""
+    scored = [(objective.collapse(lambda_of(model, reference, a)), a.key)
+              for a in assignments]
+    return min(scored, key=lambda vk: (objective.direction.rank(vk[0]), vk[1]))
+
+
+@PROPERTY
+@given(problems(), st.sampled_from([MIN, MAX]), st.data())
+def test_baselines_pick_what_the_ranking_rule_picks(problem, objective, data):
+    model, reference, _ = problem
+    # A feature with no first-layer weights ties every value it can take.
+    first, *rest = model.layers
+    weights = first.weights.copy()
+    weights[data.draw(st.integers(0, reference.n_features - 1))] = 0.0
+    model = MLPModel([Layer(weights, first.biases, first.activation), *rest],
+                     model.kind)
+    grid = reference.grid
+
+    exact = brute_force(model, reference, objective)
+    everything = list(enumerate_assignments(grid, len(grid)))
+    for stage in exact.stage_trace:
+        assert (stage.mean_lambda, stage.assignment.key) == ranked_best(
+            model, reference, objective,
+            [a for a in everything if len(a) == stage.stage])
+    assert (exact.best_objective, exact.best_assignment.key) == ranked_best(
+        model, reference, objective, everything)
+
+    greedy = sequential_dp(model, reference, objective)
+    for before, stage in zip(greedy.stage_trace, greedy.stage_trace[1:]):
+        j = stage.stage - 1
+        assert (stage.mean_lambda, stage.assignment.key) == ranked_best(
+            model, reference, objective,
+            [before.assignment.extend(j, float(v)) for v in grid[j]])
 
 
 def value_rows(reference, subset):

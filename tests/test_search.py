@@ -124,22 +124,22 @@ def test_expand_counts():
     M, T = make_setup(n=2, values=2, seed=7)
     cfg, scorer = make_scorer(M, T)
     empty = scorer.score(FeatureAssignment.empty())
-    out = expand([empty], cfg, scorer)
+    out = expand([empty], scorer)
     assert len(out) == 4
     assert all(len(c.assignment) == 1 for c in out)
 
     full = scorer.score(FeatureAssignment.of((0, 0.0), (1, 1.0)))
-    assert expand([full], cfg, scorer) == []
+    assert expand([full], scorer) == []
 
     with pytest.raises(ConfigError):
-        expand([empty, out[0]], cfg, scorer)
+        expand([empty, out[0]], scorer)
 
 
 def test_expand_scores_match_independent_calls():
     M, T = make_setup(seed=11)
     cfg, scorer = make_scorer(M, T, omega=0.4)
-    beam = prune(expand([scorer.score(FeatureAssignment.empty())], cfg, scorer), 3)
-    for c in expand(beam, cfg, scorer):
+    beam = prune(expand([scorer.score(FeatureAssignment.empty())], scorer), 3)
+    for c in expand(beam, scorer):
         again = Scorer(ScoreCache(M, T), SearchConfig(omega=0.4),
                        MIN).score(c.assignment)
         assert c.gamma == again.gamma
@@ -343,10 +343,10 @@ def test_write_trace_csv(tmp_path):
     cfg = SearchConfig(zeta=2)
     _, trace = run_search(ScoreCache(M, T), cfg, MIN)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, MIN, method="beam")
+    write_trace_csv(trace, path, MIN)
     lines = path.read_text().splitlines()
     assert lines[0] == "# schema_version=1"
-    assert lines[1] == "stage,candidate_rank,gamma,mean_lambda,assignment,method"
+    assert lines[1] == "stage,candidate_rank,gamma,mean_lambda,assignment"
     stages = [int(ln.split(",")[0]) for ln in lines[2:]]
     assert min(stages) == 0 and max(stages) == 3
     ranks = [int(ln.split(",")[1]) for ln in lines[2:] if ln.split(",")[0] == "1"]
