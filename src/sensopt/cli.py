@@ -207,6 +207,10 @@ def load_config(path, overrides: dict | None = None) -> dict:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{p}: not UTF-8 text ({e.reason})") from None
+    except OSError as e:
+        raise ConfigError(f"{p}: cannot read config ({e.strerror})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be an object")
     doc = _merge(raw, overrides or {})
@@ -243,17 +247,24 @@ def load_config(path, overrides: dict | None = None) -> dict:
 
 
 def _data_path(cfg: dict) -> Path:
-    p = Path(cfg["data"]["csv"])
-    if not p.is_absolute():
-        p = Path(cfg["_base_dir"]) / p
-    return p
+    return Path(cfg["_base_dir"], cfg["data"]["csv"])
+
+
+def _out_path(cfg: dict) -> Path:
+    """out_dir, relative to the config file; nothing is created, so a
+    command that fails while reading leaves no directory behind."""
+    return Path(cfg["_base_dir"], cfg["out_dir"])
 
 
 def _out_dir(cfg: dict) -> Path:
-    p = Path(cfg["out_dir"])
-    if not p.is_absolute():
-        p = Path(cfg["_base_dir"]) / p
-    p.mkdir(parents=True, exist_ok=True)
+    """out_dir, created if missing; called by a command once it has
+    something to write."""
+    p = _out_path(cfg)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out_dir {p} is not a usable directory "
+                          f"({e.strerror})") from None
     return p
 
 
@@ -327,7 +338,7 @@ def _search_config(cfg: dict, n_features: int) -> SearchConfig:
 
 
 def _artifact_path(cfg: dict, name: str) -> Path:
-    path = _out_dir(cfg) / name
+    path = _out_path(cfg) / name
     if not path.exists():
         raise DataError(f"missing input: {path} (run the earlier stage first)")
     return path
@@ -345,7 +356,7 @@ def cmd_train(cfg: dict) -> int:
                         seed=derive_seed(seed, "init-classifier"))
     tc = _train_config(cfg["model"], LossKind.BCE,
                        derive_seed(seed, "train-classifier"))
-    model, report = train(model, train_set.X, train_set.Y, tc)
+    model, losses = train(model, train_set.X, train_set.Y, tc)
 
     out = _out_dir(cfg)
     save_model(model, out / MODEL_FILE, meta={
@@ -357,8 +368,8 @@ def cmd_train(cfg: dict) -> int:
     write_json(out / TRAIN_METRICS_FILE, {
         "labels": train_set.label_names,
         "epochs": tc.epochs,
-        "loss_curve": report.epoch_losses,
-        "final_train_loss": report.epoch_losses[-1],
+        "loss_curve": losses,
+        "final_train_loss": losses[-1],
         "test_loss": float(bce_loss(test_preds, test_set.Y)),
         "train_accuracy_per_label": _accuracy(train_preds, train_set.Y),
         "test_accuracy_per_label": _accuracy(test_preds, test_set.Y),
@@ -390,7 +401,7 @@ def cmd_distill(cfg: dict) -> int:
     )
     head, tail = split_holdout(dset, section["holdout_fraction"])
     tc = _train_config(section, LossKind.MSE, derive_seed(seed, "train-surrogate"))
-    surrogate, report = train_surrogate(head, tc)
+    surrogate, losses = train_surrogate(head, tc)
 
     out = _out_dir(cfg)
     save_surrogate(surrogate, out / SURROGATE_FILE, train_set.n_features)
@@ -398,7 +409,7 @@ def cmd_distill(cfg: dict) -> int:
         "n_samples": dset.n_samples,
         "train_samples": head.n_samples,
         "holdout_samples": tail.n_samples,
-        "final_train_loss": report.epoch_losses[-1],
+        "final_train_loss": losses[-1],
         "r_squared_train": evaluate_surrogate(surrogate, head),
         "r_squared_holdout": evaluate_surrogate(surrogate, tail),
     })
@@ -456,12 +467,10 @@ def _load_search_inputs(cfg: dict):
 
 
 def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
-    display = [
-        f"{features[j].name}={format_value(features[j], v)}"
-        for j, v in sorted(c.assignment.pairs)
-    ]
+    display = [f"{features[j].name}={format_value(features[j], v)}"
+               for j, v in c.assignment]
     return {
-        "assignment": [[int(j), float(v)] for j, v in sorted(c.assignment.pairs)],
+        "assignment": [[j, v] for j, v in c.assignment],
         "assignment_text": ";".join(display),
         "gamma": float(c.gamma),
         "gamma_per_label": gamma_per_label(c.lambda_per_label,
@@ -478,10 +487,10 @@ def cmd_optimize(cfg: dict) -> int:
     n_features = cache.reference.n_features
     sc = _search_config(cfg, n_features)
     objective = _objective(cfg)
-    sn, trace = run_search(cache, sc, objective)
+    sn, stages = run_search(cache, sc, objective)
 
     out = _out_dir(cfg)
-    write_trace_csv(trace, out / TRACE_FILE, objective,
+    write_trace_csv(stages, out / TRACE_FILE, objective,
                     feature_names=feature_names)
     write_json(out / OPTIMIZE_REPORT_FILE, {
         "omega": sc.omega,
@@ -516,7 +525,7 @@ def _baseline_rows(result: BaselineResult, feature_names) -> list:
 
 def _baseline_doc(result: BaselineResult, feature_names) -> dict:
     return {
-        "best_assignment": [[int(j), float(v)] for j, v in result.best_assignment],
+        "best_assignment": [[j, v] for j, v in result.best_assignment],
         "best_assignment_text": format_assignment(result.best_assignment,
                                                   feature_names),
         "best_mean_lambda": result.best_objective,
@@ -563,11 +572,26 @@ def cmd_baseline(cfg: dict) -> int:
 
 
 def _read_trace(path: Path) -> list:
+    """(stage, method, mean_lambda text, its value) per data row; trace.csv
+    has no method column, as its rows are the beam's. DataError names the
+    file when it is missing, not UTF-8 or lacks a readable field."""
     if not path.exists():
         raise DataError(f"missing input: {path} (run the earlier stage first)")
-    with path.open(newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    rows = list(csv.DictReader(lines))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            lines = [ln for ln in fh if not ln.startswith("#")]
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except OSError as e:
+        raise DataError(f"{path}: cannot read trace ({e.strerror})") from None
+    try:
+        rows = [(int(row["stage"]), row.get("method", "beam"),
+                 row["mean_lambda"], float(row["mean_lambda"]))
+                for row in csv.DictReader(lines)]
+    except KeyError as e:
+        raise DataError(f"{path}: no {e.args[0]!r} column") from None
+    except (TypeError, ValueError, csv.Error) as e:
+        raise DataError(f"{path}: unreadable trace row ({e})") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows
@@ -576,19 +600,15 @@ def _read_trace(path: Path) -> list:
 def cmd_compare(cfg: dict) -> int:
     """Per-stage, per-method best mean lambda, values copied verbatim from
     the source traces."""
-    out = _out_dir(cfg)
     rank = cfg["search"]["direction"].rank
-
-    values: dict = {}  # (stage, method) -> mean_lambda strings, file order
+    values: dict = {}  # (stage, method) -> (text, value) pairs, file order
     for name in (TRACE_FILE, BASELINE_TRACE_FILE):
-        for row in _read_trace(out / name):
-            # trace.csv has no method column: its rows are the beam's.
-            key = (int(row["stage"]), row.get("method", "beam"))
-            values.setdefault(key, []).append(row["mean_lambda"])
+        for stage, method, text, value in _read_trace(_out_path(cfg) / name):
+            values.setdefault((stage, method), []).append((text, value))
 
-    _write_csv(out / COMPARE_FILE, ["stage", "method", "mean_lambda"],
+    _write_csv(_out_dir(cfg) / COMPARE_FILE, ["stage", "method", "mean_lambda"],
                [[stage, method, min(values[(stage, method)],
-                                    key=lambda v: rank(float(v)))]
+                                    key=lambda tv: rank(tv[1]))[0]]
                 for stage, method in sorted(values)])
     return 0
 

@@ -139,11 +139,6 @@ class TrainConfig:
             raise ConfigError(f"hidden dims must be >= 1, got {self.hidden_dims}")
 
 
-@dataclass
-class TrainReport:
-    epoch_losses: list[float]
-
-
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array or raise."""
     arr = np.asarray(a, dtype=np.float64)
@@ -380,7 +375,7 @@ def loss_gradients(model: MLPModel, X, Y, loss: LossKind | None = None):
 
 
 def train(model: MLPModel, X, Y, cfg: TrainConfig):
-    """Mini-batch SGD, in place. Returns (model, TrainReport).
+    """Mini-batch SGD, in place. Returns (model, epoch_losses).
 
     Deterministic given cfg.seed: the seed drives epoch shuffling only
     (initialization is seeded in build_model). Each epoch gathers X and Y
@@ -441,7 +436,7 @@ def train(model: MLPModel, X, Y, cfg: TrainConfig):
                 epoch_losses.append(mean_loss)
     finally:
         step.write_back(model)
-    return model, TrainReport(epoch_losses)
+    return model, epoch_losses
 
 
 def grad_check(model: MLPModel, X, Y, step: float = 1e-5, analytic=None) -> float:
@@ -534,6 +529,8 @@ def load_model(path):
         doc = json.loads(path.read_text())
     except ValueError as e:
         raise DataError(f"{path}: not a readable model file ({e})") from None
+    except OSError as e:
+        raise DataError(f"{path}: cannot read model file ({e.strerror})") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: not a readable model file (no JSON object)")
     if doc.get("format_version") != FORMAT_VERSION:

@@ -259,14 +259,6 @@ class StageRecord:
     best_mean_lambda: float  # direction-best mean lambda within this stage
 
 
-@dataclass
-class SearchTrace:
-    stages: list
-
-    def best_gammas(self) -> list:
-        return [s.best_gamma for s in self.stages]
-
-
 def _stage_best_lambda(candidates: list, objective: Objective) -> float:
     return min((c.mean_lambda(objective) for c in candidates),
                key=objective.direction.rank)
@@ -274,9 +266,9 @@ def _stage_best_lambda(candidates: list, objective: Objective) -> float:
 
 def run_search(cache: ScoreCache, config: SearchConfig, objective: Objective):
     """Beam search from the empty assignment over `cache`'s model, reference
-    and surrogate. Returns (SN, trace) where SN is the final beam plus the
-    best candidate seen at any stage. A shared `cache` reuses the scores of
-    earlier searches."""
+    and surrogate. Returns (SN, stages): SN is the final beam plus the
+    best candidate seen at any stage, and stages one StageRecord per depth
+    from 0. A shared `cache` reuses the scores of earlier searches."""
     n_features = cache.reference.n_features
     config.validate(n_features)
     scorer = Scorer(cache, config, objective)
@@ -297,7 +289,7 @@ def run_search(cache: ScoreCache, config: SearchConfig, objective: Objective):
     selected = {c.key: c for c in beam}
     selected.setdefault(best.key, best)
     sn = sorted(selected.values(), key=Candidate.rank)
-    return sn, SearchTrace(stages)
+    return sn, stages
 
 
 @dataclass
@@ -313,7 +305,7 @@ class FeatureEffect:
 def top_feature_report(cache: ScoreCache, config: SearchConfig,
                        objective: Objective, k: int) -> list:
     """Rank every single-pair assignment of the reference's candidate grid
-    by `Candidate.rank` after a full scan; the k best.
+    (the empty assignment's `expand`) by `Candidate.rank`; the k best.
 
     gamma_delta's sign marks pairs scoring below the do-nothing baseline.
     A `cache` shared with run_search makes every pair a lookup."""
@@ -321,36 +313,34 @@ def top_feature_report(cache: ScoreCache, config: SearchConfig,
         raise ConfigError(f"k must be >= 1, got {k}")
     config.validate(cache.reference.n_features)
     scorer = Scorer(cache, config, objective)
-    gamma_empty = scorer.score(FeatureAssignment.empty()).gamma
-    pairs = [FeatureAssignment.of((j, float(v)))
-             for j, domain in enumerate(cache.reference.grid)
-             for v in domain]
+    empty = scorer.score(FeatureAssignment.empty())
     effects = []
-    for c in sorted(scorer.score_all(pairs), key=Candidate.rank)[:k]:
+    for c in sorted(expand([empty], scorer), key=Candidate.rank)[:k]:
         (j, v), = c.assignment.pairs
-        effects.append(FeatureEffect(j, v, c.gamma, c.gamma - gamma_empty,
+        effects.append(FeatureEffect(j, v, c.gamma, c.gamma - empty.gamma,
                                      c.lambda_per_label, c.upsilon_per_label))
     return effects
 
 
 def format_assignment(a: FeatureAssignment, feature_names=None) -> str:
-    """Semicolon-joined feature=value pairs, canonical order."""
+    """Semicolon-joined feature=value pairs, in feature order."""
     parts = []
-    for j, v in sorted(a.pairs):
+    for j, v in a:
         name = feature_names[j] if feature_names else f"f{j}"
         parts.append(f"{name}={v!r}")
     return ";".join(parts)
 
 
-def write_trace_csv(trace: SearchTrace, path, objective: Objective,
+def write_trace_csv(stages: list, path, objective: Objective,
                     feature_names=None):
-    """Stage-by-stage candidate table, one row per surviving candidate."""
+    """Stage-by-stage candidate table, one row per surviving candidate of
+    each StageRecord."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema_version={TRACE_SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
         writer.writerow(["stage", "candidate_rank", "gamma", "mean_lambda",
                          "assignment"])
-        for record in trace.stages:
+        for record in stages:
             for rank, c in enumerate(record.candidates, start=1):
                 writer.writerow([record.stage, rank, repr(c.gamma),
                                  repr(c.mean_lambda(objective)),

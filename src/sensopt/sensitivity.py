@@ -29,20 +29,20 @@ CHUNK_ROW_FLOOR = 1024
 
 @dataclass(frozen=True)
 class FeatureAssignment:
-    """An ordered set of (feature index, value) fixings; indices distinct."""
+    """A set of (feature index, value) fixings with distinct indices, held
+    in feature order whatever order they were given in, so equal sets are
+    equal assignments."""
 
     pairs: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        norm = tuple((int(j), float(v)) for j, v in self.pairs)
+        norm = tuple(sorted((int(j), float(v)) for j, v in self.pairs))
         object.__setattr__(self, "pairs", norm)
-        seen = set()
-        for j, _ in norm:
-            if j < 0:
-                raise IndexError(f"feature index {j} is negative")
-            if j in seen:
-                raise ValueError(f"feature {j} assigned twice")
-            seen.add(j)
+        if norm and norm[0][0] < 0:
+            raise IndexError(f"feature index {norm[0][0]} is negative")
+        for (a, _), (b, _) in zip(norm, norm[1:]):
+            if a == b:
+                raise ValueError(f"feature {a} assigned twice")
 
     @classmethod
     def empty(cls) -> "FeatureAssignment":
@@ -67,8 +67,8 @@ class FeatureAssignment:
 
     @property
     def key(self) -> tuple:
-        """Canonical sort key: pairs ordered by feature index (tie-break rule)."""
-        return tuple(sorted(self.pairs))
+        """The pairs, already in feature order: the tie-break rule's key."""
+        return self.pairs
 
 
 @dataclass

@@ -39,30 +39,19 @@ from .sensitivity import (
 ENCODING_VERSION = 1
 
 
-@dataclass(frozen=True)
-class AssignmentEncoding:
-    """Fixed-size image of an assignment: per-feature value and fixed flag."""
-
-    values: np.ndarray  # assigned value, or the reference column mean
-    mask: np.ndarray  # 1.0 where fixed
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """The 2n input row the surrogate consumes."""
-        return np.concatenate([self.values, self.mask])
-
-
 def encode(assignment: FeatureAssignment,
-           reference: ReferenceSet) -> AssignmentEncoding:
-    """Encode an assignment against a reference set."""
+           reference: ReferenceSet) -> np.ndarray:
+    """The 2n input row the surrogate consumes: each feature's assigned
+    value, or the reference column mean where unassigned, then the 0/1
+    mask of the assigned features."""
     validate_assignment(assignment, reference)
     n = reference.n_features
-    values = reference.column_means.copy()
-    mask = np.zeros(n)
+    row = np.zeros(2 * n)
+    row[:n] = reference.column_means
     for j, v in assignment:
-        values[j] = v
-        mask[j] = 1.0
-    return AssignmentEncoding(values, mask)
+        row[j] = v
+        row[n + j] = 1.0
+    return row
 
 
 @dataclass
@@ -72,19 +61,6 @@ class DistillationSet:
     inputs: np.ndarray  # (S, 2n) encodings
     targets: np.ndarray  # (S, L) per-label sensitivities
     assignments: tuple  # the FeatureAssignments behind each row
-    seed: int
-
-    def __post_init__(self):
-        self.inputs = check_matrix(self.inputs, "inputs")
-        self.targets = check_matrix(self.targets, "targets")
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ShapeError(
-                f"{self.inputs.shape[0]} inputs vs {self.targets.shape[0]} targets"
-            )
-        if self.inputs.shape[1] % 2 != 0:
-            raise ShapeError("encoded inputs must have even width (values, mask)")
-        if len(self.assignments) != self.inputs.shape[0]:
-            raise ShapeError("one stored assignment required per row")
 
     @property
     def n_features(self) -> int:
@@ -130,10 +106,10 @@ def build_distillation_set(model: MLPModel, reference: ReferenceSet,
             pairs.append((int(j), float(domain[rng.integers(len(domain))])))
         a = FeatureAssignment(tuple(pairs))
         assignments.append(a)
-        inputs[s] = encode(a, reference).stacked
+        inputs[s] = encode(a, reference)
     # Labelled after every draw, one kernel batch per feature subset.
     _, targets = SensitivityKernel(model, reference).score_assignments(assignments)
-    return DistillationSet(inputs, targets, tuple(assignments), seed)
+    return DistillationSet(inputs, targets, tuple(assignments))
 
 
 def split_holdout(dset: DistillationSet, holdout_fraction: float = 0.2):
@@ -144,9 +120,9 @@ def split_holdout(dset: DistillationSet, holdout_fraction: float = 0.2):
     if cut < 1 or cut >= dset.n_samples:
         raise ConfigError("holdout split leaves an empty side")
     head = DistillationSet(dset.inputs[:cut], dset.targets[:cut],
-                           dset.assignments[:cut], dset.seed)
+                           dset.assignments[:cut])
     tail = DistillationSet(dset.inputs[cut:], dset.targets[cut:],
-                           dset.assignments[cut:], dset.seed)
+                           dset.assignments[cut:])
     return head, tail
 
 
@@ -164,7 +140,7 @@ def train_surrogate(dset: DistillationSet, cfg: TrainConfig):
 def predict_sensitivity(surrogate: MLPModel, assignment: FeatureAssignment,
                         reference: ReferenceSet) -> np.ndarray:
     """Surrogate's per-label sensitivity estimate, reported unclamped."""
-    x = encode(assignment, reference).stacked
+    x = encode(assignment, reference)
     if surrogate.n_inputs != x.shape[0]:
         raise ShapeError(
             f"surrogate expects {surrogate.n_inputs} inputs, encoding has {x.shape[0]}"

@@ -140,7 +140,7 @@ def test_wide_beam_equals_exhaustive_at_every_depth():
     oracle = exhaustive_gamma_by_depth(
         Scorer(ScoreCache(model, reference), cfg, MIN), max_depth=5)
     for depth, best in enumerate(oracle):
-        stage_best = trace.stages[depth].candidates[0]
+        stage_best = trace[depth].candidates[0]
         assert stage_best.gamma == best.gamma
         assert stage_best.assignment.key == best.assignment.key
 

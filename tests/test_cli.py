@@ -399,6 +399,69 @@ def test_missing_artifact_exits_3(tmp_path, capsys):
     assert "run the earlier stage first" in capsys.readouterr().err
 
 
+def test_failed_read_leaves_no_out_dir(tmp_path, capsys):
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
+                                             label_count=1, seed=1))
+    save_csv(ds, tmp_path / "data.csv")
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps({"data": {"csv": "data.csv", "labels": ["label0"]}}))
+    for command in ("optimize", "compare"):
+        assert main([command, "--config", str(p)]) == 3
+        assert not (tmp_path / "out").exists()
+
+
+TRACE_HEADER = "# schema_version=1\nstage,candidate_rank,gamma,mean_lambda,assignment\n"
+
+
+@pytest.mark.parametrize("case,command,code,name", [
+    ("config-not-utf8", "train", 2, "bad.json"),
+    ("config-is-dir", "train", 2, "bad.json"),
+    ("out-dir-is-file", "train", 2, "out"),
+    ("model-is-dir", "optimize", 3, "model.json"),
+    ("trace-not-utf8", "compare", 3, "trace.csv"),
+    ("stage-not-int", "compare", 3, "trace.csv"),
+    ("lambda-not-number", "compare", 3, "trace.csv"),
+    ("no-lambda-column", "compare", 3, "trace.csv"),
+    ("no-stage-column", "compare", 3, "trace.csv"),
+])
+def test_bad_outside_input_exits_without_traceback(tmp_path, capsys, case,
+                                                   command, code, name):
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
+                                             label_count=1, seed=1))
+    save_csv(ds, tmp_path / "data.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"csv": "data.csv", "labels": ["label0"]},
+        "model": {"hidden_dims": [4], "epochs": 5}}))
+    out = tmp_path / "out"
+    traces = {
+        "trace-not-utf8": TRACE_HEADER.encode() + b"0,1,0.5,\xff,\n",
+        "stage-not-int": (TRACE_HEADER + "one,1,0.5,0.25,\n").encode(),
+        "lambda-not-number": (TRACE_HEADER + "0,1,0.5,low,\n").encode(),
+        "no-lambda-column": b"stage,candidate_rank,gamma,assignment\n0,1,0.5,\n",
+        "no-stage-column": b"candidate_rank,gamma,mean_lambda,assignment\n1,0.5,0.25,\n",
+    }
+    if case == "config-not-utf8":
+        config = tmp_path / "bad.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+    elif case == "config-is-dir":
+        config = tmp_path / "bad.json"
+        config.mkdir()
+    elif case == "out-dir-is-file":
+        out.write_text("")
+    elif case == "model-is-dir":
+        (out / "model.json").mkdir(parents=True)
+    else:
+        out.mkdir()
+        (out / "trace.csv").write_bytes(traces[case])
+        (out / "baseline_trace.csv").write_text(
+            TRACE_HEADER.replace("assignment", "assignment,method")
+            + "0,1,,0.25,,brute_force\n")
+    assert main([command, "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def test_degenerate_reference_exits_4(tmp_path):
     rows = ["a,b,y"] + [f"1.0,2.0,{r % 2}" for r in range(12)]
     (tmp_path / "flat.csv").write_text("\n".join(rows) + "\n")

@@ -153,9 +153,9 @@ def test_train_zero_learning_rate_is_noop():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(10, 3))
     Y = (rng.random((10, 2)) < 0.5).astype(float)
-    _, report = train(model, X, Y, TrainConfig(learning_rate=0.0, epochs=1,
+    _, losses = train(model, X, Y, TrainConfig(learning_rate=0.0, epochs=1,
                                                batch_size=5, seed=0))
-    assert len(report.epoch_losses) == 1
+    assert len(losses) == 1
     for layer, w in zip(model.layers, before):
         assert np.array_equal(layer.weights, w)
 
@@ -165,11 +165,11 @@ def test_train_reduces_loss_on_separable_data():
     X = rng.normal(size=(80, 2))
     y = (X[:, 0] + X[:, 1] > 0).astype(float)[:, None]
     model = build_model(2, 1, ModelKind.CLASSIFIER, [8], seed=0)
-    _, report = train(model, X, y, TrainConfig(learning_rate=0.1, epochs=500,
+    _, losses = train(model, X, y, TrainConfig(learning_rate=0.1, epochs=500,
                                                batch_size=16, seed=0))
-    assert len(report.epoch_losses) == 500
-    assert report.epoch_losses[-1] < report.epoch_losses[0]
-    assert all(np.isfinite(v) and v >= 0.0 for v in report.epoch_losses)
+    assert len(losses) == 500
+    assert losses[-1] < losses[0]
+    assert all(np.isfinite(v) and v >= 0.0 for v in losses)
 
 
 def test_train_deterministic_given_seed():

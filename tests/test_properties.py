@@ -20,6 +20,10 @@ a per-cell parse written out here on edge cells, and no CSV bytes make
 `train` exit 1. `generate_synthetic`, and `GroundTruth`'s logits on one
 batch, equal bit for bit the per-row generator written out here, and
 `save_csv`'s bytes equal a per-cell writer's, scaled categories included.
+The seven commands, run in turn through `cli.main` on tiny drawn CSVs and
+configs, exit 0, 2, 3 or 4, rewrite the same bytes in a fresh directory,
+never report a mean lambda beyond brute force's best, and write the
+`compare.csv` the two traces give.
 Examples are derandomized so the suite stays deterministic.
 """
 
@@ -29,7 +33,9 @@ import io
 import itertools
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -167,7 +173,7 @@ def test_brute_force_bounds_every_beam_candidate(problem, omega, zeta):
     best_at = {s.stage: s.mean_lambda for s in exact.stage_trace}
     cfg = SearchConfig(omega=omega, zeta=zeta)
     sn, trace = run_search(ScoreCache(model, reference), cfg, MIN)
-    for c in sn + [c for stage in trace.stages for c in stage.candidates]:
+    for c in sn + [c for stage in trace for c in stage.candidates]:
         assert best_at[len(c.assignment)] <= c.mean_lambda(MIN)
 
 
@@ -545,12 +551,12 @@ def test_train_equals_the_textbook_loop_bit_for_bit(run):
     model, X, Y, cfg = run
     want = textbook_train(model, X, Y, cfg)
     assume(want[0] != "diverged")
-    _, report = train(model, X, Y, cfg)
+    _, epoch_losses = train(model, X, Y, cfg)
     Ws, bs, losses = want
     for layer, W, b in zip(model.layers, Ws, bs):
         assert layer.weights.tobytes() == W.tobytes()
         assert layer.biases.tobytes() == b.tobytes()
-    assert np.array(report.epoch_losses).tobytes() == np.array(losses).tobytes()
+    assert np.array(epoch_losses).tobytes() == np.array(losses).tobytes()
 
 
 @PROPERTY
@@ -830,3 +836,97 @@ def test_save_csv_equals_the_per_cell_writer(config_dir, dataset, scale):
     save_csv_per_cell(dataset, config_dir / "cells.csv")
     assert ((config_dir / "columns.csv").read_bytes()
             == (config_dir / "cells.csv").read_bytes())
+
+
+CHAIN = [["train"], ["distill"], ["optimize", "--mode", "surrogate"],
+         ["optimize"], ["baseline"], ["compare"], ["sweep-omega"]]
+
+
+@st.composite
+def chain_inputs(draw):
+    """A tiny CSV (2-4 features of 2-3 values each, categorical or numeric
+    cells, 1-2 labels, 20-60 rows) and a small config for every command."""
+    n = draw(st.integers(2, 4))
+    labels = draw(st.integers(1, 2))
+    m = draw(st.integers(20, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    columns = []
+    for _ in range(n):
+        cells = draw(st.sampled_from([["lo", "mid", "hi"], ["0", "1.5", "4"]]))
+        cells = cells[:draw(st.integers(2, 3))]
+        columns.append([cells[i] for i in rng.integers(0, len(cells), size=m)])
+    columns += [[str(v) for v in rng.integers(0, 2, size=m)]
+                for _ in range(labels)]
+    header = [f"f{j}" for j in range(n)] + [f"y{l}" for l in range(labels)]
+    text = "".join(",".join(row) + "\n" for row in [header, *zip(*columns)])
+    config = {
+        "seed": draw(st.integers(0, 100)),
+        "data": {"csv": "data.csv", "labels": header[n:]},
+        "model": {"hidden_dims": [draw(st.integers(2, 6))],
+                  "epochs": draw(st.integers(1, 20)), "batch_size": 8},
+        "surrogate": {"hidden_dims": draw(st.sampled_from([[4, 4], [6, 3]])),
+                      "epochs": draw(st.integers(1, 20)), "batch_size": 4,
+                      "n_samples": draw(st.integers(10, 40))},
+        "search": {"zeta": draw(st.integers(1, 3)), "top_k": 3,
+                   "direction": draw(st.sampled_from(["minimize", "maximize"]))},
+        "baseline": {"max_arity": n},
+        "sweep": {"grid": draw(st.lists(st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+                                        min_size=1, max_size=2))},
+    }
+    return text, config
+
+
+def run_chain(directory, text, config) -> tuple:
+    """Every command in turn through `cli.main`: the exit codes and the
+    bytes of each file written to out_dir."""
+    (directory / "data.csv").write_text(text)
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    codes = [cli.main(args + ["--config", str(path)]) for args in CHAIN]
+    out = directory / "out"
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} \
+        if out.is_dir() else {}
+    return codes, files
+
+
+def csv_table(data: bytes) -> list:
+    lines = [ln for ln in data.decode().splitlines() if not ln.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+@settings(PROPERTY, max_examples=8)
+@given(chain_inputs())
+def test_command_chain_is_reproducible_and_bounded_by_brute_force(
+        config_dir, inputs):
+    text, config = inputs
+    runs = []
+    for _ in range(2):
+        with tempfile.TemporaryDirectory(dir=config_dir) as directory:
+            runs.append(run_chain(Path(directory), text, config))
+    (codes, files), again = runs
+    assert set(codes) <= {0, 2, 3, 4}
+    assert again == (codes, files)
+    if set(codes) != {0}:
+        return
+
+    rank = Direction(config["search"]["direction"]).rank
+    report = json.loads(files["baseline_report.json"])
+    best = report["brute_force"]["best_mean_lambda"]
+    optimize = json.loads(files["optimize_report.json"])
+    found = [float(row["mean_lambda"]) for row in csv_table(files["trace.csv"])]
+    found += [c["mean_lambda"] for c in optimize["selected"]]
+    found += [float(row["best_mean_lambda"])
+              for row in csv_table(files["sweep_omega.csv"])]
+    assert all(rank(value) >= rank(best) for value in found)
+
+    best_of: dict = {}
+    for name in ("trace.csv", "baseline_trace.csv"):
+        for row in csv_table(files[name]):
+            key = (int(row["stage"]), row.get("method", "beam"))
+            kept = best_of.get(key)
+            if kept is None or rank(float(row["mean_lambda"])) < rank(float(kept)):
+                best_of[key] = row["mean_lambda"]
+    assert [[row["stage"], row["method"], row["mean_lambda"]]
+            for row in csv_table(files["compare.csv"])] == \
+        [[str(stage), method, best_of[(stage, method)]]
+         for stage, method in sorted(best_of)]

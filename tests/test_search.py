@@ -183,19 +183,19 @@ def test_run_search_depth_zero():
     sn, trace = run_search(ScoreCache(M, T), cfg, MIN)
     assert len(sn) == 1
     assert sn[0].assignment == FeatureAssignment.empty()
-    assert len(trace.stages) == 1
+    assert len(trace) == 1
 
 
 def test_run_search_trace_shape_and_monotone_best():
     M, T = make_setup(n=4, values=3, seed=17)
     cfg = SearchConfig(zeta=3)
     sn, trace = run_search(ScoreCache(M, T), cfg, MIN)
-    assert len(trace.stages) == 5
-    for s, record in enumerate(trace.stages):
+    assert len(trace) == 5
+    for s, record in enumerate(trace):
         assert record.stage == s
         assert len(record.candidates) <= 3
         assert all(len(c.assignment) == s for c in record.candidates)
-    bests = trace.best_gammas()
+    bests = [r.best_gamma for r in trace]
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
     # SN holds the final beam plus the running best
     assert len(sn) <= 4
@@ -220,7 +220,7 @@ def test_run_search_deterministic():
     sn2, tr2 = run_search(ScoreCache(M, T), cfg, MIN)
     assert [c.assignment.key for c in sn1] == [c.assignment.key for c in sn2]
     assert [c.gamma for c in sn1] == [c.gamma for c in sn2]
-    for r1, r2 in zip(tr1.stages, tr2.stages):
+    for r1, r2 in zip(tr1, tr2):
         assert [c.gamma for c in r1.candidates] == [c.gamma for c in r2.candidates]
         assert r1.best_gamma == r2.best_gamma
         assert r1.best_mean_lambda == r2.best_mean_lambda
@@ -235,7 +235,7 @@ def test_wide_beam_matches_exhaustive_per_depth():
     scorer = Scorer(ScoreCache(M, T), cfg, MIN)
     oracle = exhaustive_gamma_by_depth(scorer, max_depth=3)
     for depth, best in enumerate(oracle):
-        stage_best = trace.stages[depth].candidates[0]
+        stage_best = trace[depth].candidates[0]
         assert stage_best.gamma == best.gamma
         assert stage_best.assignment.key == best.assignment.key
 
@@ -244,7 +244,7 @@ def test_omega_one_matches_pure_lambda_argmin():
     M, T = make_setup(n=3, values=3, seed=31)
     cfg = SearchConfig(omega=1.0, zeta=1, max_depth=1)
     sn, trace = run_search(ScoreCache(M, T), cfg, MIN)
-    winner = trace.stages[1].candidates[0]
+    winner = trace[1].candidates[0]
 
     best_key, best_lam = None, None
     for j, dom in enumerate(T.domains):

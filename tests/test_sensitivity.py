@@ -39,6 +39,10 @@ def test_assignment_normalization_and_validation():
     assert a.key == ((0, 3.0), (2, 1.0))
     assert len(a) == 2
     assert a.indices == frozenset({0, 2})
+    # one canonical form: pairs in feature order, whatever the given order
+    assert a == FeatureAssignment.of((0, 3.0), (2, 1.0))
+    assert hash(a) == hash(FeatureAssignment.of((0, 3.0), (2, 1.0)))
+    assert a.pairs == ((0, 3.0), (2, 1.0))
     with pytest.raises(ValueError):
         FeatureAssignment.of((1, 0.0), (1, 2.0))
     with pytest.raises(IndexError):

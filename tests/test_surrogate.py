@@ -43,19 +43,19 @@ def make_classifier(n=4, labels=2, seed=1):
 def test_encode_empty_assignment_is_means_and_zero_mask():
     T = ReferenceSet(np.array([[0.0, 2.0], [2.0, 4.0]]))
     enc = encode(FeatureAssignment.empty(), T)
-    assert np.array_equal(enc.values, [1.0, 3.0])
-    assert np.array_equal(enc.mask, [0.0, 0.0])
-    assert np.array_equal(enc.stacked, [1.0, 3.0, 0.0, 0.0])
+    assert np.array_equal(enc[:2], [1.0, 3.0])
+    assert np.array_equal(enc[2:], [0.0, 0.0])
+    assert np.array_equal(enc, [1.0, 3.0, 0.0, 0.0])
 
 
 def test_encode_partial_and_full():
     T = ReferenceSet(np.array([[0.0, 2.0], [2.0, 4.0]]))
     enc = encode(FeatureAssignment.of((1, 7.0)), T)
-    assert np.array_equal(enc.values, [1.0, 7.0])
-    assert np.array_equal(enc.mask, [0.0, 1.0])
+    assert np.array_equal(enc[:2], [1.0, 7.0])
+    assert np.array_equal(enc[2:], [0.0, 1.0])
     full = encode(FeatureAssignment.of((0, 5.0), (1, 6.0)), T)
-    assert np.array_equal(full.values, [5.0, 6.0])
-    assert np.array_equal(full.mask, [1.0, 1.0])
+    assert np.array_equal(full[:2], [5.0, 6.0])
+    assert np.array_equal(full[2:], [1.0, 1.0])
 
 
 def test_encode_validates_indices():
