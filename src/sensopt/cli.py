@@ -22,7 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import BaselineResult, brute_force, sequential_dp
-from .data import fit_scaler, format_value, load_csv, split
+from .data import (
+    FeatureKind,
+    FeatureMeta,
+    csv_feature_names,
+    fit_scaler,
+    format_value,
+    load_csv,
+    split,
+)
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -76,6 +84,8 @@ BASELINE_REPORT_FILE = "baseline_report.json"
 BASELINE_TRACE_FILE = "baseline_trace.csv"
 COMPARE_FILE = "compare.csv"
 SWEEP_FILE = "sweep_omega.csv"
+REFERENCE_FILE = "reference.npy"
+REFERENCE_META_FILE = "reference.json"
 
 DEFAULT_SWEEP_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -256,6 +266,16 @@ def _out_path(cfg: dict) -> Path:
     return Path(cfg["_base_dir"], cfg["out_dir"])
 
 
+def _check_out_dir(cfg: dict):
+    """ConfigError unless out_dir could be created: its nearest existing
+    ancestor, or out_dir itself, must be a directory. Nothing is created."""
+    p = _out_path(cfg)
+    nearest = next(a for a in (p, *p.parents) if a.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"out_dir {p} is not a usable directory "
+                          f"({nearest} is not a directory)")
+
+
 def _out_dir(cfg: dict) -> Path:
     """out_dir, created if missing; called by a command once it has
     something to write."""
@@ -309,6 +329,25 @@ def prepare_data(cfg: dict):
             train_idx, test_idx)
 
 
+def _read_data(cfg: dict) -> bytes:
+    path = _data_path(cfg)
+    try:
+        return path.read_bytes()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read data ({e.strerror})") from None
+
+
+def _fingerprint(cfg: dict, data: bytes) -> str:
+    """sha256 of every config value `prepare_data` reads, then the CSV's
+    bytes. It holds no path and no time, so equal inputs give equal
+    fingerprints wherever and whenever they are read."""
+    settings = {"seed": cfg["seed"], "data.labels": cfg["data"]["labels"],
+                "data.test_fraction": cfg["data"]["test_fraction"],
+                "data.stratify": cfg["data"]["stratify"]}
+    head = json.dumps(settings, sort_keys=True).encode() + b"\n"
+    return hashlib.sha256(head + data).hexdigest()
+
+
 def _train_config(section: dict, loss: LossKind, seed: int) -> TrainConfig:
     return TrainConfig(
         learning_rate=section["learning_rate"],
@@ -349,6 +388,10 @@ def _accuracy(probabilities: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def cmd_train(cfg: dict) -> int:
+    _check_out_dir(cfg)
+    # hashed before the parse: a CSV edited in between gives a fingerprint
+    # that no later read matches, never a stale reference that passes
+    fingerprint = _fingerprint(cfg, _read_data(cfg))
     train_set, test_set, train_idx, test_idx = prepare_data(cfg)
     seed = cfg["seed"]
     model = build_model(train_set.n_features, train_set.n_labels,
@@ -382,14 +425,19 @@ def cmd_train(cfg: dict) -> int:
         "train_rows": [int(i) for i in train_idx],
         "test_rows": [int(i) for i in test_idx],
     })
+    np.save(out / REFERENCE_FILE, train_set.X)
+    write_json(out / REFERENCE_META_FILE, {
+        "fingerprint": fingerprint,
+        "label_names": train_set.label_names,
+        "features": [{"name": f.name, "kind": f.kind.value, "domain": f.domain,
+                      "raw_categories": f.raw_categories}
+                     for f in train_set.features],
+    })
     return 0
 
 
 def cmd_distill(cfg: dict) -> int:
-    train_set, _, _, _ = prepare_data(cfg)
-    _check_max_arity(cfg, "surrogate", train_set.n_features)
-    model = _load_model(cfg, train_set)
-    reference = ReferenceSet.from_dataset(train_set)
+    model, reference, _ = _load_inputs(cfg, "surrogate")
     seed = cfg["seed"]
     section = cfg["surrogate"]
 
@@ -404,7 +452,7 @@ def cmd_distill(cfg: dict) -> int:
     surrogate, losses = train_surrogate(head, tc)
 
     out = _out_dir(cfg)
-    save_surrogate(surrogate, out / SURROGATE_FILE, train_set.n_features)
+    save_surrogate(surrogate, out / SURROGATE_FILE, reference.n_features)
     write_json(out / DISTILL_REPORT_FILE, {
         "n_samples": dset.n_samples,
         "train_samples": head.n_samples,
@@ -416,23 +464,22 @@ def cmd_distill(cfg: dict) -> int:
     return 0
 
 
-def _load_model(cfg: dict, train_set):
+def _load_model(cfg: dict, feature_names: list):
     """The trained classifier, refused if it was trained on other columns
     or its network's widths disagree with the data."""
     model, meta = load_model(_artifact_path(cfg, MODEL_FILE))
-    features = [f.name for f in train_set.features]
+    labels = cfg["data"]["labels"]
     trained = (meta.get("feature_names"), meta.get("label_names"))
-    if trained != (features, train_set.label_names):
+    if trained != (feature_names, labels):
         raise DataError(
             f"{MODEL_FILE} was trained on features {trained[0]} and labels "
-            f"{trained[1]}, but the data gives features {features} and "
-            f"labels {train_set.label_names} (rerun train)")
-    if (model.n_inputs, model.n_outputs) != (train_set.n_features,
-                                             train_set.n_labels):
+            f"{trained[1]}, but the data gives features {feature_names} and "
+            f"labels {labels} (rerun train)")
+    if (model.n_inputs, model.n_outputs) != (len(feature_names), len(labels)):
         raise DataError(
             f"{MODEL_FILE} takes {model.n_inputs} inputs and gives "
             f"{model.n_outputs} outputs, but the data gives "
-            f"{train_set.n_features} features and {train_set.n_labels} labels "
+            f"{len(feature_names)} features and {len(labels)} labels "
             f"(rerun train)")
     return model
 
@@ -445,25 +492,81 @@ def _check_max_arity(cfg: dict, section: str, n_features: int):
                           f"of features, {n_features}")
 
 
+def _load_reference(cfg: dict, fingerprint: str, feature_names: list):
+    """The reference and feature metas that train prepared, refused if they
+    were prepared from other data or settings or disagree with the header.
+    Returns (ReferenceSet, feature metas)."""
+    path = _artifact_path(cfg, REFERENCE_META_FILE)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        written_for, labels = doc["fingerprint"], doc["label_names"]
+        features = [FeatureMeta(f["name"], FeatureKind(f["kind"]), f["domain"],
+                                f["raw_categories"]) for f in doc["features"]]
+        if not all(np.isfinite(f.domain).all() for f in features):
+            raise ValueError("a domain holds a non-finite value")
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: not a readable reference ({e!r}; "
+                        f"rerun train)") from None
+    if written_for != fingerprint:
+        raise DataError(f"{path} was prepared from other data or settings: "
+                        f"the bytes of data.csv, data.labels, "
+                        f"data.test_fraction, data.stratify or seed changed "
+                        f"since (rerun train)")
+    names = [f.name for f in features]
+    if (names, labels) != (feature_names, cfg["data"]["labels"]):
+        raise DataError(f"{path} names features {names} and labels {labels}, "
+                        f"but the data gives {feature_names} and "
+                        f"{cfg['data']['labels']} (rerun train)")
+    matrix_path = _artifact_path(cfg, REFERENCE_FILE)
+    try:
+        with matrix_path.open("rb") as fh:
+            X = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as e:
+        raise DataError(f"{matrix_path}: not a readable matrix ({e}; "
+                        f"rerun train)") from None
+    if (not isinstance(X, np.ndarray) or X.dtype != np.float64 or X.ndim != 2
+            or X.shape[0] < 2 or X.shape[1] != len(names)
+            or not np.isfinite(X).all()):
+        raise DataError(f"{matrix_path} does not hold a finite float64 matrix "
+                        f"of 2 or more rows and {len(names)} columns "
+                        f"(rerun train)")
+    return ReferenceSet(X, [f.domain for f in features]), features
+
+
+def _load_inputs(cfg: dict, arity_section: str | None = None):
+    """What every command after train reads, checked in this order: the
+    data's header, `arity_section`'s max_arity against it, the model, and
+    the reference train prepared. Only the CSV's header is parsed.
+    Returns (model, ReferenceSet, feature metas)."""
+    data = _read_data(cfg)
+    feature_names = csv_feature_names(_data_path(cfg), data,
+                                      cfg["data"]["labels"])
+    if arity_section is not None:
+        _check_max_arity(cfg, arity_section, len(feature_names))
+    model = _load_model(cfg, feature_names)
+    reference, features = _load_reference(cfg, _fingerprint(cfg, data),
+                                          feature_names)
+    return model, reference, features
+
+
 def _load_search_inputs(cfg: dict):
-    """Data, a ScoreCache over the model, the reference and, in surrogate
-    mode, the surrogate (refused if it was distilled for other data), and
-    the feature names."""
-    train_set, _, _, _ = prepare_data(cfg)
-    model = _load_model(cfg, train_set)
-    reference = ReferenceSet.from_dataset(train_set)
+    """The feature metas, a ScoreCache over the model, the reference and,
+    in surrogate mode, the surrogate (refused if it was distilled for other
+    data), and the feature names."""
+    model, reference, features = _load_inputs(cfg)
+    n_labels = len(cfg["data"]["labels"])
     surrogate = None
     if cfg["search"]["mode"] == "surrogate":
         surrogate, meta = load_surrogate(_artifact_path(cfg, SURROGATE_FILE))
         distilled = (meta["n_features"], meta["n_labels"])
-        if distilled != (train_set.n_features, train_set.n_labels):
+        if distilled != (reference.n_features, n_labels):
             raise DataError(
                 f"{SURROGATE_FILE} was distilled for {distilled[0]} features "
                 f"and {distilled[1]} labels, but the data gives "
-                f"{train_set.n_features} features and {train_set.n_labels} "
+                f"{reference.n_features} features and {n_labels} "
                 f"labels (rerun distill)")
-    feature_names = [f.name for f in train_set.features]
-    return train_set, ScoreCache(model, reference, surrogate), feature_names
+    return (features, ScoreCache(model, reference, surrogate),
+            [f.name for f in features])
 
 
 def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
@@ -483,7 +586,7 @@ def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
 
 
 def cmd_optimize(cfg: dict) -> int:
-    train_set, cache, feature_names = _load_search_inputs(cfg)
+    features, cache, feature_names = _load_search_inputs(cfg)
     n_features = cache.reference.n_features
     sc = _search_config(cfg, n_features)
     objective = _objective(cfg)
@@ -498,9 +601,9 @@ def cmd_optimize(cfg: dict) -> int:
         "max_depth": sc.depth(n_features),
         "mode": cfg["search"]["mode"],
         "direction": cfg["search"]["direction"].value,
-        "labels": train_set.label_names,
+        "labels": cfg["data"]["labels"],
         "selected": [
-            _candidate_doc(c, objective, sc.omega, train_set.features)
+            _candidate_doc(c, objective, sc.omega, features)
             for c in sn
         ],
     })
@@ -508,7 +611,7 @@ def cmd_optimize(cfg: dict) -> int:
     effects = top_feature_report(cache, sc, objective, k=cfg["search"]["top_k"])
     rows = []
     for rank, e in enumerate(effects, start=1):
-        meta = train_set.features[e.feature]
+        meta = features[e.feature]
         rows.append([rank, meta.name, format_value(meta, e.value),
                      repr(e.gamma), repr(e.gamma_delta),
                      repr(objective.collapse(e.lambda_per_label))])
@@ -536,11 +639,8 @@ def _baseline_doc(result: BaselineResult, feature_names) -> dict:
 def cmd_baseline(cfg: dict) -> int:
     # Brute force and the sequential greedy read no surrogate, whatever
     # search.mode says.
-    train_set, _, _, _ = prepare_data(cfg)
-    _check_max_arity(cfg, "baseline", train_set.n_features)
-    model = _load_model(cfg, train_set)
-    reference = ReferenceSet.from_dataset(train_set)
-    feature_names = [f.name for f in train_set.features]
+    model, reference, features = _load_inputs(cfg, "baseline")
+    feature_names = [f.name for f in features]
     objective = _objective(cfg)
     section = cfg["baseline"]
 

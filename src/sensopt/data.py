@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -122,6 +123,43 @@ def quantile_domain(values: np.ndarray, points=QUANTILE_POINTS) -> np.ndarray:
     return np.unique(np.quantile(values, points))
 
 
+def _header_columns(p: Path, header: list[str], label_columns: list[str]):
+    """(label column indices, feature column indices) of a header row; a
+    repeated name, a missing label column or no feature left raises
+    DataError naming the file."""
+    repeated = sorted({name for i, name in enumerate(header)
+                       if name in header[:i]})
+    if repeated:
+        raise DataError(f"{p}: header repeats column names: {repeated}")
+
+    missing = [c for c in label_columns if c not in header]
+    if missing:
+        raise DataError(f"{p}: label columns not found: {missing}")
+    label_idx = [header.index(c) for c in label_columns]
+    feature_idx = [i for i in range(len(header)) if i not in label_idx]
+    if not feature_idx:
+        raise DataError(f"{p}: no feature columns left after labels")
+    return label_idx, feature_idx
+
+
+def csv_feature_names(path, data: bytes, label_columns: list[str]) -> list[str]:
+    """The feature names of a CSV's header row, given the file's bytes,
+    checked by the rules `load_csv` applies to its header; the body is not
+    parsed."""
+    p = Path(path)
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        header = next(reader, None)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{p}: not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:
+        raise DataError(f"{p}: unreadable CSV header: {e}") from None
+    if header is None:
+        raise DataError(f"{p}: empty file, header row required")
+    _, feature_idx = _header_columns(p, header, label_columns)
+    return [header[i] for i in feature_idx]
+
+
 def load_csv(path, label_columns: list[str]) -> Dataset:
     """Read a UTF-8 comma-separated file with a header row.
 
@@ -148,18 +186,7 @@ def load_csv(path, label_columns: list[str]) -> Dataset:
     body = rows[1:]
     if not body:
         raise DataError(f"{p}: no data rows")
-    repeated = sorted({name for i, name in enumerate(header)
-                       if name in header[:i]})
-    if repeated:
-        raise DataError(f"{p}: header repeats column names: {repeated}")
-
-    missing = [c for c in label_columns if c not in header]
-    if missing:
-        raise DataError(f"{p}: label columns not found: {missing}")
-    label_idx = [header.index(c) for c in label_columns]
-    feature_idx = [i for i in range(len(header)) if i not in label_idx]
-    if not feature_idx:
-        raise DataError(f"{p}: no feature columns left after labels")
+    label_idx, feature_idx = _header_columns(p, header, label_columns)
 
     width = len(header)
     for r, row in enumerate(body, start=2):

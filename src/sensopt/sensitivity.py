@@ -110,14 +110,6 @@ class ReferenceSet:
                               "enumerate or sample assignments")
         return self.domains
 
-    @classmethod
-    def from_dataset(cls, dataset):
-        """Build from any object exposing .X and .features[i].domain."""
-        return cls(
-            np.array(dataset.X, dtype=np.float64),
-            [np.asarray(f.domain, dtype=np.float64) for f in dataset.features],
-        )
-
     @property
     def n_features(self) -> int:
         return self.features.shape[1]

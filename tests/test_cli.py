@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sensopt import cli
 from sensopt.baseline import enumeration_size
 from sensopt.cli import (
     DEFAULT_SWEEP_GRID,
@@ -278,6 +279,8 @@ def test_non_boolean_stratify_exits_2(tmp_path, capsys, value):
 @pytest.mark.parametrize("name,flags", [
     ("model.json", []),
     ("surrogate.json", ["--mode", "surrogate"]),
+    ("reference.npy", []),
+    ("reference.json", []),
 ])
 def test_corrupt_artifact_exits_3(tmp_path, capsys, name, flags):
     ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
@@ -424,7 +427,8 @@ TRACE_HEADER = "# schema_version=1\nstage,candidate_rank,gamma,mean_lambda,assig
     ("no-lambda-column", "compare", 3, "trace.csv"),
     ("no-stage-column", "compare", 3, "trace.csv"),
 ])
-def test_bad_outside_input_exits_without_traceback(tmp_path, capsys, case,
+def test_bad_outside_input_exits_without_traceback(tmp_path, capsys,
+                                                   monkeypatch, case,
                                                    command, code, name):
     ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
                                              label_count=1, seed=1))
@@ -449,6 +453,10 @@ def test_bad_outside_input_exits_without_traceback(tmp_path, capsys, case,
         config.mkdir()
     elif case == "out-dir-is-file":
         out.write_text("")
+
+        def train(*args, **kwargs):
+            raise AssertionError("trained before checking out_dir")
+        monkeypatch.setattr(cli, "train", train)
     elif case == "model-is-dir":
         (out / "model.json").mkdir(parents=True)
     else:
@@ -460,6 +468,45 @@ def test_bad_outside_input_exits_without_traceback(tmp_path, capsys, case,
     assert main([command, "--config", str(config)]) == code
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit,flags,code", [
+    ("one-cell", [], 3),
+    ("none", ["--seed", "12"], 3),
+    ("same-bytes", [], 0),
+])
+def test_chain_built_from_other_data_or_settings_exits_3(tmp_path, capsys,
+                                                         edit, flags, code):
+    # the reference train prepared is fingerprinted by the CSV's bytes and
+    # the split settings, so an edited cell or another seed is refused
+    # rather than silently re-split; rewriting equal bytes is not an edit
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
+                                             label_count=1, seed=1))
+    data = tmp_path / "data.csv"
+    save_csv(ds, data)
+    cfg = {"seed": 11, "data": {"csv": "data.csv", "labels": ["label0"]},
+           "model": {"hidden_dims": [4], "epochs": 5},
+           "surrogate": {"hidden_dims": [4, 4], "epochs": 5, "n_samples": 20},
+           "sweep": {"grid": [0.5]}}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(["distill", "--config", str(p)]) == 0
+    header, first, *rest = data.read_bytes().splitlines(keepends=True)
+    if edit == "one-cell":
+        cells = first.split(b",")
+        cells[0] = b"1.0" if cells[0] != b"1.0" else b"2.0"
+        first = b",".join(cells)
+    data.write_bytes(header + first + b"".join(rest))
+    capsys.readouterr()
+    commands = ["optimize"] if flags else ["distill", "optimize", "baseline",
+                                           "sweep-omega"]
+    for command in commands:
+        assert main([command, "--config", str(p)] + flags) == code, command
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert "reference.json" in err and "rerun train" in err, err
 
 
 def test_degenerate_reference_exits_4(tmp_path):

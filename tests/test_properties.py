@@ -23,7 +23,8 @@ batch, equal bit for bit the per-row generator written out here, and
 The seven commands, run in turn through `cli.main` on tiny drawn CSVs and
 configs, exit 0, 2, 3 or 4, rewrite the same bytes in a fresh directory,
 never report a mean lambda beyond brute force's best, and write the
-`compare.csv` the two traces give.
+`compare.csv` the two traces give. The reference that `train` writes and
+the later commands load equals `prepare_data`'s training split bit for bit.
 Examples are derandomized so the suite stays deterministic.
 """
 
@@ -930,3 +931,26 @@ def test_command_chain_is_reproducible_and_bounded_by_brute_force(
             for row in csv_table(files["compare.csv"])] == \
         [[str(stage), method, best_of[(stage, method)]]
          for stage, method in sorted(best_of)]
+
+
+@settings(PROPERTY, max_examples=8)
+@given(chain_inputs())
+def test_reference_written_by_train_equals_prepare_data(config_dir, inputs):
+    text, config = inputs
+    with tempfile.TemporaryDirectory(dir=config_dir) as directory:
+        directory = Path(directory)
+        (directory / "data.csv").write_text(text)
+        path = directory / "config.json"
+        path.write_text(json.dumps(config))
+        assume(cli.main(["train", "--config", str(path)]) == 0)
+        cfg = cli.load_config(path)
+        train_set = cli.prepare_data(cfg)[0]
+        _, reference, features = cli._load_inputs(cfg)
+        doc = json.loads((directory / "out" / "reference.json").read_text())
+    assert reference.features.shape == train_set.X.shape
+    assert reference.features.tobytes() == train_set.X.tobytes()
+    assert [(f.name, f.kind, f.domain.tobytes(), f.raw_categories)
+            for f in features] == \
+        [(f.name, f.kind, f.domain.tobytes(), f.raw_categories)
+         for f in train_set.features]
+    assert doc["label_names"] == train_set.label_names
