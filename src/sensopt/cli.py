@@ -27,9 +27,12 @@ from .data import (
     FeatureMeta,
     csv_feature_names,
     fit_scaler,
+    format_assignment,
     format_value,
     load_csv,
     split,
+    write_json,
+    write_table,
 )
 from .errors import (
     BudgetExceededError,
@@ -54,7 +57,6 @@ from .search import (
     Objective,
     ScoreCache,
     SearchConfig,
-    format_assignment,
     gamma_per_label,
     run_search,
     top_feature_report,
@@ -69,8 +71,6 @@ from .surrogate import (
     split_holdout,
     train_surrogate,
 )
-
-SCHEMA_VERSION = 1
 
 MODEL_FILE = "model.json"
 SURROGATE_FILE = "surrogate.json"
@@ -288,31 +288,6 @@ def _out_dir(cfg: dict) -> Path:
     return p
 
 
-def _to_jsonable(x):
-    if isinstance(x, dict):
-        return {k: _to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_to_jsonable(v) for v in x]
-    if isinstance(x, (np.ndarray, np.floating, np.integer)):
-        return x.tolist()
-    return x
-
-
-def write_json(path: Path, obj: dict):
-    obj = {"schema_version": SCHEMA_VERSION, **_to_jsonable(obj)}
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def _write_csv(path: Path, header: list, rows):
-    """A CSV table after the schema comment line that every CSV output has."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def prepare_data(cfg: dict):
     """Load, split, and scale; everything downstream sees model-space data.
 
@@ -393,6 +368,7 @@ def cmd_train(cfg: dict) -> int:
     # that no later read matches, never a stale reference that passes
     fingerprint = _fingerprint(cfg, _read_data(cfg))
     train_set, test_set, train_idx, test_idx = prepare_data(cfg)
+    _check_batch_size(cfg, "model", train_set.n_samples)
     seed = cfg["seed"]
     model = build_model(train_set.n_features, train_set.n_labels,
                         ModelKind.CLASSIFIER, cfg["model"]["hidden_dims"],
@@ -437,9 +413,13 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_distill(cfg: dict) -> int:
+    section = cfg["surrogate"]
+    # the surrogate trains on the sample's head, whose size the config fixes
+    n_samples = section["n_samples"]
+    _check_batch_size(cfg, "surrogate",
+                      n_samples - round(n_samples * section["holdout_fraction"]))
     model, reference, _ = _load_inputs(cfg, "surrogate")
     seed = cfg["seed"]
-    section = cfg["surrogate"]
 
     dset = build_distillation_set(
         model, reference,
@@ -452,7 +432,8 @@ def cmd_distill(cfg: dict) -> int:
     surrogate, losses = train_surrogate(head, tc)
 
     out = _out_dir(cfg)
-    save_surrogate(surrogate, out / SURROGATE_FILE, reference.n_features)
+    save_surrogate(surrogate, out / SURROGATE_FILE, reference.n_features,
+                   model_sha256=_model_sha256(cfg))
     write_json(out / DISTILL_REPORT_FILE, {
         "n_samples": dset.n_samples,
         "train_samples": head.n_samples,
@@ -482,6 +463,22 @@ def _load_model(cfg: dict, feature_names: list):
             f"{len(feature_names)} features and {len(labels)} labels "
             f"(rerun train)")
     return model
+
+
+def _model_sha256(cfg: dict) -> str:
+    """sha256 of model.json's bytes; a surrogate carries the one it was
+    distilled from. Training is deterministic, so retraining with the same
+    config keeps it."""
+    return hashlib.sha256(_artifact_path(cfg, MODEL_FILE).read_bytes()).hexdigest()
+
+
+def _check_batch_size(cfg: dict, section: str, n_rows: int):
+    """`section.batch_size` against the rows it trains on; called before
+    the command trains or writes anything."""
+    size = cfg[section]["batch_size"]
+    if size > n_rows:
+        raise ConfigError(f"{section}.batch_size must be at most the number "
+                          f"of rows it trains on, {n_rows}, got {size}")
 
 
 def _check_max_arity(cfg: dict, section: str, n_features: int):
@@ -550,9 +547,9 @@ def _load_inputs(cfg: dict, arity_section: str | None = None):
 
 
 def _load_search_inputs(cfg: dict):
-    """The feature metas, a ScoreCache over the model, the reference and,
-    in surrogate mode, the surrogate (refused if it was distilled for other
-    data), and the feature names."""
+    """The feature metas and a ScoreCache over the model, the reference
+    and, in surrogate mode, the surrogate (refused if it was distilled for
+    other data or from another model.json)."""
     model, reference, features = _load_inputs(cfg)
     n_labels = len(cfg["data"]["labels"])
     surrogate = None
@@ -565,16 +562,18 @@ def _load_search_inputs(cfg: dict):
                 f"and {distilled[1]} labels, but the data gives "
                 f"{reference.n_features} features and {n_labels} "
                 f"labels (rerun distill)")
-    return (features, ScoreCache(model, reference, surrogate),
-            [f.name for f in features])
+        if meta.get("model_sha256") != _model_sha256(cfg):
+            raise DataError(f"{SURROGATE_FILE} was not distilled from the "
+                            f"{MODEL_FILE} now in out_dir: its model_sha256 "
+                            f"meta is {meta.get('model_sha256')!r} "
+                            f"(rerun distill)")
+    return features, ScoreCache(model, reference, surrogate)
 
 
 def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
-    display = [f"{features[j].name}={format_value(features[j], v)}"
-               for j, v in c.assignment]
     return {
         "assignment": [[j, v] for j, v in c.assignment],
-        "assignment_text": ";".join(display),
+        "assignment_text": format_assignment(c.assignment, features),
         "gamma": float(c.gamma),
         "gamma_per_label": gamma_per_label(c.lambda_per_label,
                                            c.upsilon_per_label, omega,
@@ -586,15 +585,14 @@ def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
 
 
 def cmd_optimize(cfg: dict) -> int:
-    features, cache, feature_names = _load_search_inputs(cfg)
+    features, cache = _load_search_inputs(cfg)
     n_features = cache.reference.n_features
     sc = _search_config(cfg, n_features)
     objective = _objective(cfg)
     sn, stages = run_search(cache, sc, objective)
 
     out = _out_dir(cfg)
-    write_trace_csv(stages, out / TRACE_FILE, objective,
-                    feature_names=feature_names)
+    write_trace_csv(stages, out / TRACE_FILE, objective, features)
     write_json(out / OPTIMIZE_REPORT_FILE, {
         "omega": sc.omega,
         "zeta": sc.zeta,
@@ -608,29 +606,30 @@ def cmd_optimize(cfg: dict) -> int:
         ],
     })
 
-    effects = top_feature_report(cache, sc, objective, k=cfg["search"]["top_k"])
+    empty, best = top_feature_report(cache, sc, objective,
+                                     k=cfg["search"]["top_k"])
     rows = []
-    for rank, e in enumerate(effects, start=1):
-        meta = features[e.feature]
-        rows.append([rank, meta.name, format_value(meta, e.value),
-                     repr(e.gamma), repr(e.gamma_delta),
-                     repr(objective.collapse(e.lambda_per_label))])
-    _write_csv(out / TOP_FEATURES_FILE, ["rank", "feature", "value", "gamma",
-                                         "gamma_delta", "mean_lambda"], rows)
+    for rank, c in enumerate(best, start=1):
+        (j, v), = c.assignment
+        rows.append([rank, features[j].name, format_value(features[j], v),
+                     repr(c.gamma), repr(c.gamma - empty.gamma),
+                     repr(c.mean_lambda(objective))])
+    write_table(out / TOP_FEATURES_FILE, ["rank", "feature", "value", "gamma",
+                                          "gamma_delta", "mean_lambda"], rows)
     return 0
 
 
-def _baseline_rows(result: BaselineResult, feature_names) -> list:
+def _baseline_rows(result: BaselineResult, features) -> list:
     return [[stage.stage, 1, "", repr(stage.mean_lambda),
-             format_assignment(stage.assignment, feature_names), result.method]
+             format_assignment(stage.assignment, features), result.method]
             for stage in result.stage_trace]
 
 
-def _baseline_doc(result: BaselineResult, feature_names) -> dict:
+def _baseline_doc(result: BaselineResult, features) -> dict:
     return {
         "best_assignment": [[j, v] for j, v in result.best_assignment],
         "best_assignment_text": format_assignment(result.best_assignment,
-                                                  feature_names),
+                                                  features),
         "best_mean_lambda": result.best_objective,
         "evaluations": result.evaluations,
     }
@@ -640,7 +639,6 @@ def cmd_baseline(cfg: dict) -> int:
     # Brute force and the sequential greedy read no surrogate, whatever
     # search.mode says.
     model, reference, features = _load_inputs(cfg, "baseline")
-    feature_names = [f.name for f in features]
     objective = _objective(cfg)
     section = cfg["baseline"]
 
@@ -650,8 +648,8 @@ def cmd_baseline(cfg: dict) -> int:
         brute = brute_force(model, reference, objective,
                             max_arity=section["max_arity"],
                             budget=section["budget"])
-        report["brute_force"] = _baseline_doc(brute, feature_names)
-        rows += _baseline_rows(brute, feature_names)
+        report["brute_force"] = _baseline_doc(brute, features)
+        rows += _baseline_rows(brute, features)
     except BudgetExceededError as e:
         report["brute_force"] = {
             "skipped": True,
@@ -660,14 +658,14 @@ def cmd_baseline(cfg: dict) -> int:
         }
 
     seq = sequential_dp(model, reference, objective)
-    report["sequential"] = _baseline_doc(seq, feature_names)
-    rows += _baseline_rows(seq, feature_names)
+    report["sequential"] = _baseline_doc(seq, features)
+    rows += _baseline_rows(seq, features)
 
     out = _out_dir(cfg)
     write_json(out / BASELINE_REPORT_FILE, report)
-    _write_csv(out / BASELINE_TRACE_FILE, ["stage", "candidate_rank", "gamma",
-                                           "mean_lambda", "assignment", "method"],
-               rows)
+    write_table(out / BASELINE_TRACE_FILE, ["stage", "candidate_rank", "gamma",
+                                            "mean_lambda", "assignment",
+                                            "method"], rows)
     return 0
 
 
@@ -706,15 +704,15 @@ def cmd_compare(cfg: dict) -> int:
         for stage, method, text, value in _read_trace(_out_path(cfg) / name):
             values.setdefault((stage, method), []).append((text, value))
 
-    _write_csv(_out_dir(cfg) / COMPARE_FILE, ["stage", "method", "mean_lambda"],
-               [[stage, method, min(values[(stage, method)],
-                                    key=lambda tv: rank(tv[1]))[0]]
-                for stage, method in sorted(values)])
+    write_table(_out_dir(cfg) / COMPARE_FILE, ["stage", "method", "mean_lambda"],
+                [[stage, method, min(values[(stage, method)],
+                                     key=lambda tv: rank(tv[1]))[0]]
+                 for stage, method in sorted(values)])
     return 0
 
 
 def cmd_sweep_omega(cfg: dict) -> int:
-    _, cache, feature_names = _load_search_inputs(cfg)
+    features, cache = _load_search_inputs(cfg)
     objective = _objective(cfg)
     sc = _search_config(cfg, cache.reference.n_features)
 
@@ -725,9 +723,9 @@ def cmd_sweep_omega(cfg: dict) -> int:
             objective.direction.rank(c.mean_lambda(objective)), c.key))
         rows.append([repr(omega), repr(by_lambda.mean_lambda(objective)),
                      repr(sn[0].gamma),
-                     format_assignment(by_lambda.assignment, feature_names)])
-    _write_csv(_out_dir(cfg) / SWEEP_FILE,
-               ["omega", "best_mean_lambda", "best_gamma", "assignment"], rows)
+                     format_assignment(by_lambda.assignment, features)])
+    write_table(_out_dir(cfg) / SWEEP_FILE,
+                ["omega", "best_mean_lambda", "best_gamma", "assignment"], rows)
     return 0
 
 

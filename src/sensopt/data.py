@@ -26,6 +26,9 @@ from .sensitivity import FeatureAssignment
 
 QUANTILE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+# Carried by every JSON report and every CSV table the pipeline writes.
+SCHEMA_VERSION = 1
+
 _STD_NORMAL = NormalDist()
 
 
@@ -246,6 +249,41 @@ def format_value(meta: FeatureMeta, value: float) -> str:
         if hits.size:
             return meta.raw_categories[int(hits[0])]
     return repr(float(value))
+
+
+def format_assignment(a: FeatureAssignment, features: list[FeatureMeta]) -> str:
+    """The one text form of an assignment in every artifact: `name=value`
+    pairs in feature order, joined by `;`, each value as `format_value`
+    prints it."""
+    return ";".join(f"{features[j].name}={format_value(features[j], v)}"
+                    for j, v in a)
+
+
+def _to_jsonable(x):
+    if isinstance(x, dict):
+        return {k: _to_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_to_jsonable(v) for v in x]
+    if isinstance(x, (np.ndarray, np.floating, np.integer)):
+        return x.tolist()
+    return x
+
+
+def write_json(path, obj: dict):
+    """A JSON report: `schema_version` first, keys sorted, numpy values as
+    plain lists and numbers."""
+    obj = {"schema_version": SCHEMA_VERSION, **_to_jsonable(obj)}
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+def write_table(path, header: list, rows):
+    """A CSV table after the `# schema_version=` comment line."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_csv(dataset: Dataset, path):
@@ -502,6 +540,4 @@ def generate_synthetic(spec: SyntheticSpec):
 
 def save_ground_truth(truth: GroundTruth, path):
     """Sidecar JSON recording the generator so tests can replay it."""
-    doc = {"schema_version": 1, **truth.to_doc()}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_json(path, truth.to_doc())

@@ -11,19 +11,16 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
+from .data import format_assignment, write_table
 from .errors import ConfigError, ShapeError
 from .nn import MLPModel
 from .sensitivity import FeatureAssignment, ReferenceSet, SensitivityKernel
 from .surrogate import predict_sensitivity
-
-TRACE_SCHEMA_VERSION = 1
 
 
 class Direction(Enum):
@@ -292,56 +289,29 @@ def run_search(cache: ScoreCache, config: SearchConfig, objective: Objective):
     return sn, stages
 
 
-@dataclass
-class FeatureEffect:
-    feature: int
-    value: float
-    gamma: float
-    gamma_delta: float  # gamma minus the empty assignment's gamma
-    lambda_per_label: np.ndarray
-    upsilon_per_label: np.ndarray
-
-
 def top_feature_report(cache: ScoreCache, config: SearchConfig,
-                       objective: Objective, k: int) -> list:
+                       objective: Objective, k: int):
     """Rank every single-pair assignment of the reference's candidate grid
-    (the empty assignment's `expand`) by `Candidate.rank`; the k best.
+    (the empty assignment's `expand`) by `Candidate.rank`. Returns (the
+    empty assignment's Candidate, the k best single-pair Candidates).
 
-    gamma_delta's sign marks pairs scoring below the do-nothing baseline.
-    A `cache` shared with run_search makes every pair a lookup."""
+    A pair whose gamma is below the empty one's scores below the do-nothing
+    baseline. A `cache` shared with run_search makes every pair a lookup."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     config.validate(cache.reference.n_features)
     scorer = Scorer(cache, config, objective)
     empty = scorer.score(FeatureAssignment.empty())
-    effects = []
-    for c in sorted(expand([empty], scorer), key=Candidate.rank)[:k]:
-        (j, v), = c.assignment.pairs
-        effects.append(FeatureEffect(j, v, c.gamma, c.gamma - empty.gamma,
-                                     c.lambda_per_label, c.upsilon_per_label))
-    return effects
+    return empty, sorted(expand([empty], scorer), key=Candidate.rank)[:k]
 
 
-def format_assignment(a: FeatureAssignment, feature_names=None) -> str:
-    """Semicolon-joined feature=value pairs, in feature order."""
-    parts = []
-    for j, v in a:
-        name = feature_names[j] if feature_names else f"f{j}"
-        parts.append(f"{name}={v!r}")
-    return ";".join(parts)
-
-
-def write_trace_csv(stages: list, path, objective: Objective,
-                    feature_names=None):
+def write_trace_csv(stages: list, path, objective: Objective, features: list):
     """Stage-by-stage candidate table, one row per surviving candidate of
-    each StageRecord."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema_version={TRACE_SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "candidate_rank", "gamma", "mean_lambda",
-                         "assignment"])
-        for record in stages:
-            for rank, c in enumerate(record.candidates, start=1):
-                writer.writerow([record.stage, rank, repr(c.gamma),
-                                 repr(c.mean_lambda(objective)),
-                                 format_assignment(c.assignment, feature_names)])
+    each StageRecord; `features` are the data's FeatureMetas."""
+    write_table(path, ["stage", "candidate_rank", "gamma", "mean_lambda",
+                       "assignment"],
+                [[record.stage, rank, repr(c.gamma),
+                  repr(c.mean_lambda(objective)),
+                  format_assignment(c.assignment, features)]
+                 for record in stages
+                 for rank, c in enumerate(record.candidates, start=1)])

@@ -165,7 +165,10 @@ def evaluate_surrogate(surrogate: MLPModel, dset: DistillationSet) -> float:
     return r_squared(forward(surrogate, dset.inputs), dset.targets)
 
 
-def save_surrogate(surrogate: MLPModel, path, n_features: int):
+def save_surrogate(surrogate: MLPModel, path, n_features: int,
+                   model_sha256: str | None = None):
+    """The surrogate with its encoding's meta and `model_sha256`, the
+    sha256 of the classifier file it was distilled from."""
     if surrogate.n_inputs != 2 * n_features:
         raise ShapeError(
             f"surrogate input width {surrogate.n_inputs} != 2*{n_features}"
@@ -174,6 +177,7 @@ def save_surrogate(surrogate: MLPModel, path, n_features: int):
         "n_features": n_features,
         "n_labels": surrogate.n_outputs,
         "encoding_version": ENCODING_VERSION,
+        "model_sha256": model_sha256,
     })
 
 

@@ -555,6 +555,11 @@ def test_degenerate_reference_exits_4(tmp_path):
     # the data's feature count bounds max_arity; a split needs 2+ train rows
     ("baseline", '"data": {"csv": "d.csv", "labels": ["y"], "test_fraction": 0.4}, '
      '"baseline": {"max_arity": 99}', "baseline.max_arity"),
+    # a batch larger than the rows it trains on: 2 train rows, and the
+    # sample's 8-row head, checked before anything is loaded or sampled
+    ("train", '"data": {"csv": "d.csv", "labels": ["y"], "test_fraction": 0.4}, '
+     '"model": {"batch_size": 3}', "model.batch_size"),
+    ("distill", '"surrogate": {"n_samples": 10}', "surrogate.batch_size"),
 ])
 def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command,
                                                     fragment, name):
@@ -608,6 +613,48 @@ def test_surrogate_distilled_for_other_features_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "surrogate.json" in err and "rerun distill" in err
     assert "Traceback" not in err
+
+
+def test_surrogate_distilled_from_another_model_exits_3(tmp_path, capsys):
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=3, n_samples=30,
+                                             label_count=1, seed=1))
+    save_csv(ds, tmp_path / "data.csv")
+    cfg = {"data": {"csv": "data.csv", "labels": ["label0"]},
+           "model": {"hidden_dims": [4], "epochs": 5},
+           "surrogate": {"hidden_dims": [4, 4], "epochs": 5, "n_samples": 20},
+           "sweep": {"grid": [0.5]}}
+    p = tmp_path / "config.json"
+
+    def run(model, *args):
+        p.write_text(json.dumps({**cfg, "model": model}))
+        return main([*args, "--config", str(p)])
+
+    assert run(cfg["model"], "train") == 0
+    assert run(cfg["model"], "distill") == 0
+    # the same config trains the same bytes, so the surrogate stays valid
+    assert run(cfg["model"], "train") == 0
+    assert run(cfg["model"], "optimize", "--mode", "surrogate") == 0
+    capsys.readouterr()
+    for model in ({"hidden_dims": [5], "epochs": 5},
+                  {"hidden_dims": [4], "epochs": 6}):
+        assert run(model, "train") == 0
+        for command in ("optimize", "sweep-omega"):
+            assert run(model, command, "--mode", "surrogate") == 3
+            err = capsys.readouterr().err
+            assert "surrogate.json" in err and "rerun distill" in err, err
+            assert "Traceback" not in err
+        assert run(model, "optimize") == 0  # the oracle reads no surrogate
+
+    # a surrogate that names no model is refused as malformed
+    assert run(cfg["model"], "train") == 0
+    surrogate = tmp_path / "out" / "surrogate.json"
+    doc = json.loads(surrogate.read_text())
+    del doc["meta"]["model_sha256"]
+    surrogate.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(cfg["model"], "optimize", "--mode", "surrogate") == 3
+    err = capsys.readouterr().err
+    assert "model_sha256" in err and "rerun distill" in err, err
 
 
 def test_import_pulls_in_only_stdlib_and_numpy():

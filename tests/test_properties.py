@@ -55,9 +55,11 @@ from sensopt.data import (
     Dataset,
     FeatureKind,
     FeatureMeta,
+    SCHEMA_VERSION,
     SyntheticSpec,
     _parse_float,
     fit_scaler,
+    format_assignment,
     format_value,
     generate_synthetic,
     load_csv,
@@ -87,7 +89,6 @@ from sensopt.search import (
     ScoreCache,
     Scorer,
     SearchConfig,
-    format_assignment,
     gamma_from,
     lambda_of,
     run_search,
@@ -433,10 +434,10 @@ def test_sweep_omega_file_equals_one_uncached_search_per_omega(tmp_path):
     assert cli.main(["sweep-omega", "--config", str(config)]) == 0
 
     cfg = cli.load_config(config)
-    _, cache, names = cli._load_search_inputs(cfg)
+    features, cache = cli._load_search_inputs(cfg)
     sc = cli._search_config(cfg, cache.reference.n_features)
     text = io.StringIO(newline="")
-    text.write(f"# schema_version={cli.SCHEMA_VERSION}\n")
+    text.write(f"# schema_version={SCHEMA_VERSION}\n")
     writer = csv.writer(text)
     writer.writerow(["omega", "best_mean_lambda", "best_gamma", "assignment"])
     for omega in cfg["sweep"]["grid"]:
@@ -445,7 +446,7 @@ def test_sweep_omega_file_equals_one_uncached_search_per_omega(tmp_path):
         by_lambda = min(sn, key=lambda c: c.mean_lambda(MIN))
         writer.writerow([repr(omega), repr(by_lambda.mean_lambda(MIN)),
                          repr(sn[0].gamma),
-                         format_assignment(by_lambda.assignment, names)])
+                         format_assignment(by_lambda.assignment, features)])
     written = (tmp_path / "out" / cli.SWEEP_FILE).read_bytes()
     assert written == text.getvalue().encode("utf-8")
 
@@ -931,6 +932,26 @@ def test_command_chain_is_reproducible_and_bounded_by_brute_force(
             for row in csv_table(files["compare.csv"])] == \
         [[str(stage), method, best_of[(stage, method)]]
          for stage, method in sorted(best_of)]
+
+    # one text per assignment: a categorical value is its category's text
+    # in every file, and brute force's best reads as its own trace row
+    categories = {f["name"]: f["raw_categories"]
+                  for f in json.loads(files["reference.json"])["features"]
+                  if f["kind"] == "categorical"}
+    texts = [row["assignment"]
+             for name in ("trace.csv", "baseline_trace.csv", "sweep_omega.csv")
+             for row in csv_table(files[name])]
+    texts += [report[method]["best_assignment_text"]
+              for method in ("brute_force", "sequential")]
+    for text in texts:
+        for name, _, value in (pair.partition("=") for pair in text.split(";")
+                               if pair):
+            assert name not in categories or value in categories[name], text
+    brute = report["brute_force"]
+    rows = {int(row["stage"]): row["assignment"]
+            for row in csv_table(files["baseline_trace.csv"])
+            if row["method"] == "brute_force"}
+    assert rows[len(brute["best_assignment"])] == brute["best_assignment_text"]
 
 
 @settings(PROPERTY, max_examples=8)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sensopt.baseline import exhaustive_gamma_by_depth
+from sensopt.data import FeatureKind, FeatureMeta, format_assignment
 from sensopt.errors import ConfigError, ShapeError
 from sensopt.nn import Activation, Layer, MLPModel, ModelKind, build_model, forward
 from sensopt.search import (
@@ -12,7 +13,6 @@ from sensopt.search import (
     Scorer,
     SearchConfig,
     expand,
-    format_assignment,
     gamma_from,
     lambda_of,
     prune,
@@ -274,10 +274,10 @@ def test_search_config_validation():
 def test_top_feature_report_matches_scan():
     M, T = make_setup(n=3, values=3, seed=37)
     cfg = SearchConfig()
-    top = top_feature_report(ScoreCache(M, T), cfg, MIN, k=1)
-    scan = top_feature_report(ScoreCache(M, T), cfg, MIN, k=100)
+    _, top = top_feature_report(ScoreCache(M, T), cfg, MIN, k=1)
+    _, scan = top_feature_report(ScoreCache(M, T), cfg, MIN, k=100)
     assert len(scan) == 9  # k past the total returns every pair
-    assert (top[0].feature, top[0].value) == (scan[0].feature, scan[0].value)
+    assert top[0].assignment.pairs == scan[0].assignment.pairs
     gammas = [e.gamma for e in scan]
     assert gammas == sorted(gammas, reverse=True)
     with pytest.raises(ConfigError):
@@ -292,8 +292,8 @@ def test_top_feature_report_dead_model_equal_contributions():
     M = constant_classifier(n, 2)
     ds = constant_regressor(2 * n, 2, value=0.0)
     cfg = SearchConfig()
-    report = top_feature_report(ScoreCache(M, T, ds), cfg, MIN, k=50)
-    deltas = np.array([e.gamma_delta for e in report])
+    empty, report = top_feature_report(ScoreCache(M, T, ds), cfg, MIN, k=50)
+    deltas = np.array([c.gamma - empty.gamma for c in report])
     assert np.all(np.abs(deltas) <= 1e-9)
 
 
@@ -332,10 +332,15 @@ def test_score_cache_refuses_a_surrogate_of_another_label_count():
 
 
 def test_format_assignment():
+    features = [FeatureMeta("alpha", FeatureKind.CONTINUOUS, [0.0, 0.5, 1.0]),
+                FeatureMeta("beta", FeatureKind.CATEGORICAL, [0.0, 0.5, 1.0],
+                            raw_categories=["lo", "mid", "hi"])]
+    # continuous values as the repr of the scaled value, categories as text
     a = FeatureAssignment.of((1, 0.5), (0, 1.0))
-    assert format_assignment(a) == "f0=1.0;f1=0.5"
-    assert format_assignment(a, ["alpha", "beta"]) == "alpha=1.0;beta=0.5"
-    assert format_assignment(FeatureAssignment.empty()) == ""
+    assert format_assignment(a, features) == "alpha=1.0;beta=mid"
+    assert format_assignment(FeatureAssignment.of((1, 1.0)), features) == "beta=hi"
+    assert format_assignment(FeatureAssignment.of((0, 0.1)), features) == "alpha=0.1"
+    assert format_assignment(FeatureAssignment.empty(), features) == ""
 
 
 def test_write_trace_csv(tmp_path):
@@ -343,7 +348,9 @@ def test_write_trace_csv(tmp_path):
     cfg = SearchConfig(zeta=2)
     _, trace = run_search(ScoreCache(M, T), cfg, MIN)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, MIN)
+    features = [FeatureMeta(f"f{j}", FeatureKind.CONTINUOUS, domain)
+                for j, domain in enumerate(T.domains)]
+    write_trace_csv(trace, path, MIN, features)
     lines = path.read_text().splitlines()
     assert lines[0] == "# schema_version=1"
     assert lines[1] == "stage,candidate_rank,gamma,mean_lambda,assignment"
