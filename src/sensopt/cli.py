@@ -86,6 +86,7 @@ COMPARE_FILE = "compare.csv"
 SWEEP_FILE = "sweep_omega.csv"
 REFERENCE_FILE = "reference.npy"
 REFERENCE_META_FILE = "reference.json"
+SCORES_FILE = "scores.npz"
 
 DEFAULT_SWEEP_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -404,6 +405,7 @@ def cmd_train(cfg: dict) -> int:
     np.save(out / REFERENCE_FILE, train_set.X)
     write_json(out / REFERENCE_META_FILE, {
         "fingerprint": fingerprint,
+        "matrix_sha256": _matrix_sha256(train_set.X),
         "label_names": train_set.label_names,
         "features": [{"name": f.name, "kind": f.kind.value, "domain": f.domain,
                       "raw_categories": f.raw_categories}
@@ -433,7 +435,7 @@ def cmd_distill(cfg: dict) -> int:
 
     out = _out_dir(cfg)
     save_surrogate(surrogate, out / SURROGATE_FILE, reference.n_features,
-                   model_sha256=_model_sha256(cfg))
+                   model_sha256=_artifact_sha256(cfg, MODEL_FILE))
     write_json(out / DISTILL_REPORT_FILE, {
         "n_samples": dset.n_samples,
         "train_samples": head.n_samples,
@@ -465,11 +467,17 @@ def _load_model(cfg: dict, feature_names: list):
     return model
 
 
-def _model_sha256(cfg: dict) -> str:
-    """sha256 of model.json's bytes; a surrogate carries the one it was
-    distilled from. Training is deterministic, so retraining with the same
-    config keeps it."""
-    return hashlib.sha256(_artifact_path(cfg, MODEL_FILE).read_bytes()).hexdigest()
+def _artifact_sha256(cfg: dict, name: str) -> str:
+    """sha256 of an artifact's bytes. A surrogate carries its model.json's,
+    and the score store is keyed by model.json's and reference.json's.
+    Training is deterministic, so retraining with the same config keeps
+    them."""
+    return hashlib.sha256(_artifact_path(cfg, name).read_bytes()).hexdigest()
+
+
+def _matrix_sha256(X: np.ndarray) -> str:
+    """sha256 of a matrix's C-order float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(X, dtype=np.float64)).hexdigest()
 
 
 def _check_batch_size(cfg: dict, section: str, n_rows: int):
@@ -497,6 +505,7 @@ def _load_reference(cfg: dict, fingerprint: str, feature_names: list):
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         written_for, labels = doc["fingerprint"], doc["label_names"]
+        matrix_sha256 = doc["matrix_sha256"]
         features = [FeatureMeta(f["name"], FeatureKind(f["kind"]), f["domain"],
                                 f["raw_categories"]) for f in doc["features"]]
         if not all(np.isfinite(f.domain).all() for f in features):
@@ -527,6 +536,10 @@ def _load_reference(cfg: dict, fingerprint: str, feature_names: list):
         raise DataError(f"{matrix_path} does not hold a finite float64 matrix "
                         f"of 2 or more rows and {len(names)} columns "
                         f"(rerun train)")
+    if _matrix_sha256(X) != matrix_sha256:
+        raise DataError(f"{matrix_path} is not the matrix train wrote: its "
+                        f"sha256 differs from {REFERENCE_META_FILE}'s "
+                        f"matrix_sha256 (rerun train)")
     return ReferenceSet(X, [f.domain for f in features]), features
 
 
@@ -562,12 +575,37 @@ def _load_search_inputs(cfg: dict):
                 f"and {distilled[1]} labels, but the data gives "
                 f"{reference.n_features} features and {n_labels} "
                 f"labels (rerun distill)")
-        if meta.get("model_sha256") != _model_sha256(cfg):
+        if meta.get("model_sha256") != _artifact_sha256(cfg, MODEL_FILE):
             raise DataError(f"{SURROGATE_FILE} was not distilled from the "
                             f"{MODEL_FILE} now in out_dir: its model_sha256 "
                             f"meta is {meta.get('model_sha256')!r} "
                             f"(rerun distill)")
     return features, ScoreCache(model, reference, surrogate)
+
+
+def _load_scores(cfg: dict, cache: ScoreCache) -> str | None:
+    """Fill an oracle cache from out_dir's score store and return the
+    store's fingerprint: the sha256 of model.json's and reference.json's
+    bytes, which fix every oracle score. None for a surrogate cache, which
+    neither reads nor writes the store."""
+    if cache.surrogate is not None:
+        return None
+    fingerprint = hashlib.sha256("".join(
+        _artifact_sha256(cfg, name)
+        for name in (MODEL_FILE, REFERENCE_META_FILE)).encode()).hexdigest()
+    cache.load(_out_path(cfg) / SCORES_FILE, fingerprint)
+    return fingerprint
+
+
+def _save_scores(cfg: dict, cache: ScoreCache, fingerprint: str | None):
+    """Write the store back under the fingerprint it was read with, when
+    the command scored an assignment it lacked. A store that cannot be
+    written costs a later command time, never its outputs."""
+    if fingerprint is not None and cache.scored:
+        try:
+            cache.save(_out_path(cfg) / SCORES_FILE, fingerprint)
+        except OSError:
+            pass
 
 
 def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
@@ -586,6 +624,7 @@ def _candidate_doc(c, objective: Objective, omega: float, features) -> dict:
 
 def cmd_optimize(cfg: dict) -> int:
     features, cache = _load_search_inputs(cfg)
+    fingerprint = _load_scores(cfg, cache)
     n_features = cache.reference.n_features
     sc = _search_config(cfg, n_features)
     objective = _objective(cfg)
@@ -616,6 +655,7 @@ def cmd_optimize(cfg: dict) -> int:
                      repr(c.mean_lambda(objective))])
     write_table(out / TOP_FEATURES_FILE, ["rank", "feature", "value", "gamma",
                                           "gamma_delta", "mean_lambda"], rows)
+    _save_scores(cfg, cache, fingerprint)
     return 0
 
 
@@ -713,6 +753,7 @@ def cmd_compare(cfg: dict) -> int:
 
 def cmd_sweep_omega(cfg: dict) -> int:
     features, cache = _load_search_inputs(cfg)
+    fingerprint = _load_scores(cfg, cache)
     objective = _objective(cfg)
     sc = _search_config(cfg, cache.reference.n_features)
 
@@ -726,6 +767,7 @@ def cmd_sweep_omega(cfg: dict) -> int:
                      format_assignment(by_lambda.assignment, features)])
     write_table(_out_dir(cfg) / SWEEP_FILE,
                 ["omega", "best_mean_lambda", "best_gamma", "assignment"], rows)
+    _save_scores(cfg, cache, fingerprint)
     return 0
 
 

@@ -11,8 +11,13 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 
@@ -128,6 +133,13 @@ def lambda_of(M: MLPModel, T: ReferenceSet, a: FeatureAssignment) -> np.ndarray:
     return SensitivityKernel(M, T).score_assignments([a], upsilon=False)[0][0]
 
 
+# The members of a ScoreCache store, in order: the fingerprint, each key's
+# arity, the keys' feature indices and values end to end, then the lambda
+# and upsilon rows.
+STORE_ARRAYS = ("fingerprint", "arity", "features", "values", "lambda",
+                "upsilon")
+
+
 class ScoreCache:
     """Lambda and upsilon of one model on one reference, computed once per
     distinct assignment through one `SensitivityKernel`; upsilon comes from
@@ -140,7 +152,7 @@ class ScoreCache:
     variance are computed on the first oracle score, so a degenerate
     reference raises there, and a cache with a surrogate never computes
     them. By the kernel's contract a cached score has the bits a fresh one
-    would have.
+    would have, and so does one that `save` wrote and `load` read back.
     """
 
     def __init__(self, model: MLPModel, reference: ReferenceSet,
@@ -161,6 +173,71 @@ class ScoreCache:
         self.surrogate = surrogate
         self.kernel = SensitivityKernel(model, reference)
         self._scores: dict = {}
+        self.scored = 0  # assignments scored here, not read by `load`
+
+    def save(self, path, fingerprint: str):
+        """Write every score to `path` as one npz: `fingerprint`, each key's
+        arity, feature indices and values, and the lambda and upsilon rows.
+        Its zip entries carry no timestamp, so equal scores give equal
+        bytes, and it replaces `path` whole through a temporary file."""
+        if self.surrogate is not None:
+            raise ValueError("a cache with a surrogate holds no oracle upsilon")
+        keys, scores = list(self._scores), list(self._scores.values())
+        lam, ups = ((np.stack(col) for col in zip(*scores)) if scores
+                    else [np.empty((0, self.model.n_outputs))] * 2)
+        arrays = (np.array(fingerprint),
+                  np.array([len(k) for k in keys], dtype=np.int64),
+                  np.array([j for k in keys for j, _ in k], dtype=np.int64),
+                  np.array([v for k in keys for _, v in k], dtype=np.float64),
+                  lam, ups)
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as store:
+                for name, array in zip(STORE_ARRAYS, arrays):
+                    with store.open(zipfile.ZipInfo(name + ".npy"), "w") as member:
+                        np.lib.format.write_array(member, array,
+                                                  allow_pickle=False)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+    def load(self, path, fingerprint: str) -> bool:
+        """Add the scores `save` wrote to `path` under the same
+        `fingerprint`; whether it did. A store that is missing, unreadable,
+        inconsistent or written under another fingerprint is ignored, and so
+        is every store when the cache has a surrogate, since a stored
+        upsilon is the kernel's."""
+        if self.surrogate is not None:
+            return False
+        try:
+            with zipfile.ZipFile(path) as store:
+                arrays = []
+                for name in STORE_ARRAYS:
+                    with store.open(name + ".npy") as member:
+                        arrays.append(np.lib.format.read_array(
+                            member, allow_pickle=False))
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            return False
+        stored_for, arity, features, values, lam, ups = arrays
+        rows = (arity.size, self.model.n_outputs)
+        if (stored_for.tolist() != fingerprint
+                or (arity.dtype, features.dtype, values.dtype, lam.dtype,
+                    ups.dtype) != (np.int64, np.int64, np.float64,
+                                   np.float64, np.float64)
+                or arity.ndim != 1 or (arity < 0).any()
+                or features.shape != values.shape
+                or features.shape != (arity.sum(),)
+                or lam.shape != rows or ups.shape != rows):
+            return False
+        lam.flags.writeable = False
+        ups.flags.writeable = False
+        pairs = list(zip(features.tolist(), values.tolist()))
+        ends = list(accumulate(arity.tolist()))
+        for i, (start, end) in enumerate(zip([0, *ends], ends)):
+            self._scores.setdefault(tuple(pairs[start:end]), (lam[i], ups[i]))
+        return True
 
     def lambda_upsilon(self, assignments: list) -> list:
         """(lambda, upsilon) per label for each assignment, all read-only
@@ -181,6 +258,7 @@ class ScoreCache:
                                 for a in todo])
             lam.flags.writeable = False
             ups.flags.writeable = False
+            self.scored += len(todo)
             for i, key in enumerate(misses):
                 self._scores[key] = (lam[i], ups[i])
         return [self._scores[a.key] for a in assignments]

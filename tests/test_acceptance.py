@@ -283,7 +283,7 @@ def test_blas_thread_count_does_not_change_artifacts(tmp_path):
                        env=env, check=True, timeout=120)
         out = tmp_path / f"out{threads}"
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert len(outputs[0]) == 10
+    assert len(outputs[0]) == 11
     assert outputs[0] == outputs[1]
 
 

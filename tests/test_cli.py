@@ -18,6 +18,7 @@ from sensopt.cli import (
 )
 from sensopt.data import SyntheticSpec, generate_synthetic, save_csv
 from sensopt.errors import ConfigError
+from sensopt.sensitivity import SensitivityKernel
 
 
 def read_csv_rows(path):
@@ -507,6 +508,150 @@ def test_chain_built_from_other_data_or_settings_exits_3(tmp_path, capsys,
         assert "Traceback" not in err
         if code:
             assert "reference.json" in err and "rerun train" in err, err
+
+
+def test_edited_reference_matrix_exits_3(tmp_path, capsys):
+    # reference.json holds the sha256 of the matrix train saved, so a
+    # finite edit of one cell of reference.npy is refused, not scored
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=2, n_samples=30,
+                                             label_count=1, seed=1))
+    save_csv(ds, tmp_path / "data.csv")
+    cfg = {"data": {"csv": "data.csv", "labels": ["label0"]},
+           "model": {"hidden_dims": [4], "epochs": 5},
+           "surrogate": {"hidden_dims": [4, 4], "epochs": 5, "n_samples": 20}}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 0
+    matrix = tmp_path / "out" / "reference.npy"
+    X = np.load(matrix)
+    X[3, 1] += 0.5
+    np.save(matrix, X)
+    capsys.readouterr()
+    for command in ("optimize", "baseline", "distill"):
+        assert main([command, "--config", str(p)]) == 3, command
+        err = capsys.readouterr().err
+        assert "reference.npy" in err and "rerun train" in err, err
+        assert "Traceback" not in err
+
+
+STORE_OUTPUTS = {"optimize": ("trace.csv", "optimize_report.json",
+                              "top_features.csv"),
+                 "sweep-omega": ("sweep_omega.csv",)}
+
+
+def store_workspace(tmp_path, **search):
+    ds, _ = generate_synthetic(SyntheticSpec(n_features=3, n_samples=60,
+                                             label_count=2, seed=4))
+    save_csv(ds, tmp_path / "data.csv")
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps({
+        "seed": 5, "data": {"csv": "data.csv", "labels": ["label0", "label1"]},
+        "model": {"hidden_dims": [6], "epochs": 20},
+        "surrogate": {"hidden_dims": [4, 4], "epochs": 5, "n_samples": 30},
+        "search": {"zeta": 2, **search}, "sweep": {"grid": [0.2, 0.6, 0.9]}}))
+    assert main(["train", "--config", str(p)]) == 0
+    return p, tmp_path / "out" / cli.SCORES_FILE
+
+
+def stale_store(path):
+    """The store at `path` rewritten under another fingerprint, with every
+    lambda moved, so a run that used its rows would write other bytes."""
+    with np.load(path) as store:
+        arrays = dict(store)
+    arrays["fingerprint"] = np.array("0" * 64)
+    arrays["lambda"] = 1.0 - arrays["lambda"]
+    with path.open("wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_score_store_never_changes_outputs(tmp_path):
+    p, store = store_workspace(tmp_path)
+    out = store.parent
+    main(["optimize", "--config", str(p)])
+    main(["sweep-omega", "--config", str(p)])
+    full = store.read_bytes()
+
+    def run(command, state):
+        store.unlink(missing_ok=True)
+        if state == "present":
+            store.write_bytes(full)
+        elif state == "stale":
+            store.write_bytes(full)
+            stale_store(store)
+        elif state == "corrupt":
+            store.write_bytes(b"not a store\n" * 10)
+        elif state == "truncated":
+            store.write_bytes(full[:len(full) // 2])
+        assert main([command, "--config", str(p)]) == 0
+        return ({name: (out / name).read_bytes()
+                 for name in STORE_OUTPUTS[command]}, store.read_bytes())
+
+    for command in STORE_OUTPUTS:
+        fresh, written = run(command, "absent")
+        assert run(command, "present") == (fresh, full), command
+        # an ignored store is overwritten by what the command scored
+        for state in ("stale", "corrupt", "truncated"):
+            assert run(command, state) == (fresh, written), (command, state)
+    assert sorted(p.name for p in out.iterdir()
+                  if p.name.startswith(cli.SCORES_FILE)) == [cli.SCORES_FILE]
+
+
+def test_sweep_after_optimize_scores_nothing(tmp_path, monkeypatch):
+    p, store = store_workspace(tmp_path)
+    scored = []
+    original = SensitivityKernel.score_assignments
+
+    def counted(self, assignments, upsilon=True):
+        scored.append(len(assignments))
+        return original(self, assignments, upsilon)
+
+    monkeypatch.setattr(SensitivityKernel, "score_assignments", counted)
+    omega = load_config(p)["search"]["omega"]
+    sweep = ["sweep-omega", "--config", str(p)]
+    assert main(["optimize", "--config", str(p)]) == 0
+    assert sum(scored) > 0
+    written = store.read_bytes()
+    mtime = store.stat().st_mtime_ns
+
+    # optimize's omega alone: every assignment is in the store, so the
+    # sweep scores nothing and leaves the store as it was
+    config = json.loads(p.read_text())
+    config["sweep"]["grid"] = [omega]
+    p.write_text(json.dumps(config))
+    scored.clear()
+    assert main(sweep) == 0
+    assert scored == []
+    assert store.read_bytes() == written and store.stat().st_mtime_ns == mtime
+
+    # without a store, under another fingerprint, and after a retrain with
+    # other settings, the sweep scores every assignment it reaches
+    counts = []
+    for edit in ("absent", "stale", "retrained"):
+        if edit == "absent":
+            store.unlink()
+        elif edit == "stale":
+            stale_store(store)
+        else:
+            config["model"]["hidden_dims"] = [7]
+            p.write_text(json.dumps(config))
+            assert main(["train", "--config", str(p)]) == 0
+        scored.clear()
+        assert main(sweep) == 0
+        counts.append(sum(scored))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def test_surrogate_search_leaves_the_store_alone(tmp_path):
+    p, store = store_workspace(tmp_path)
+    surrogate = ["optimize", "--mode", "surrogate", "--config", str(p)]
+    assert main(["distill", "--config", str(p)]) == 0
+    assert main(surrogate) == 0
+    assert not store.exists()
+    assert main(["optimize", "--config", str(p)]) == 0
+    written = store.read_bytes()
+    assert main(surrogate) == 0
+    assert main(["sweep-omega", "--mode", "surrogate", "--config", str(p)]) == 0
+    assert store.read_bytes() == written
 
 
 def test_degenerate_reference_exits_4(tmp_path):

@@ -451,6 +451,55 @@ def test_sweep_omega_file_equals_one_uncached_search_per_omega(tmp_path):
     assert written == text.getvalue().encode("utf-8")
 
 
+class FixedRows:
+    """A kernel stand-in that returns the rows it was given, once."""
+
+    def __init__(self, lam, ups):
+        self.rows = (lam, ups)
+
+    def score_assignments(self, assignments, upsilon=True):
+        rows, self.rows = self.rows, None
+        assert rows is not None, "scored twice"
+        return rows
+
+
+BITS = st.integers(0, 2**64 - 1)
+STORE_KEYS = st.lists(
+    st.dictionaries(st.integers(0, 5), st.floats(allow_nan=False), max_size=4),
+    max_size=12).map(lambda dicts: list(
+        {a.key: a for a in [FeatureAssignment.empty()]
+         + [FeatureAssignment(tuple(d.items())) for d in dicts]}.values()))
+
+
+@PROPERTY
+@given(STORE_KEYS, st.integers(1, 3), st.data())
+def test_score_store_round_trip_keeps_every_key_and_bit(config_dir, keys,
+                                                        n_labels, data):
+    model = build_model(6, n_labels, ModelKind.CLASSIFIER, [2], seed=0)
+    reference = ReferenceSet(np.arange(12.0).reshape(2, 6))
+    lam, ups = (np.array(data.draw(st.lists(
+        st.lists(BITS, min_size=n_labels, max_size=n_labels),
+        min_size=len(keys), max_size=len(keys))), dtype=np.uint64)
+        .reshape(len(keys), n_labels).view(np.float64) for _ in range(2))
+    cache = ScoreCache(model, reference)
+    cache.kernel = FixedRows(lam, ups)
+    cache.lambda_upsilon(keys)
+    path = config_dir / cli.SCORES_FILE
+    cache.save(path, "a" * 64)
+
+    assert not ScoreCache(model, reference).load(path, "b" * 64)
+    loaded = ScoreCache(model, reference)
+    assert loaded.load(path, "a" * 64)
+    loaded.kernel = None  # every lookup below must be a hit
+    for i, (got_lam, got_ups) in enumerate(loaded.lambda_upsilon(keys)):
+        assert got_lam.tobytes() == lam[i].tobytes(), keys[i]
+        assert got_ups.tobytes() == ups[i].tobytes(), keys[i]
+    assert loaded.scored == 0
+    written = path.read_bytes()
+    loaded.save(path, "a" * 64)
+    assert path.read_bytes() == written
+
+
 def textbook_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
