@@ -15,9 +15,10 @@ from itertools import combinations, groupby, product
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
-from .nn import MLPModel
-from .sensitivity import FeatureAssignment, ReferenceSet, SensitivityKernel
-from .search import Candidate, Objective, Scorer, lambda_of
+from .sensitivity import FeatureAssignment
+# lambda_of is unused here, but bench/tracing.py counts calls to it through
+# this module's name for it, so the name must stay bound.
+from .search import Candidate, Objective, ScoreCache, Scorer, lambda_of
 
 DEFAULT_BUDGET = 10**6
 
@@ -67,13 +68,14 @@ def enumerate_assignments(value_domains, max_arity: int):
                 )
 
 
-def brute_force(M: MLPModel, T: ReferenceSet, objective: Objective,
+def brute_force(cache: ScoreCache, objective: Objective,
                 max_arity: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> BaselineResult:
-    """Exhaustive argmin/argmax of mean lambda over all assignments of T's
-    candidate grid with arity <= max_arity. Refuses up front when the
-    enumeration exceeds `budget`."""
-    domains = T.grid
+    """Exhaustive argmin/argmax of mean lambda over all assignments of the
+    cache's candidate grid with arity <= max_arity, one `cache.lambdas`
+    batch per feature subset. Refuses up front when the enumeration exceeds
+    `budget`."""
+    domains = cache.reference.grid
     if max_arity is None:
         max_arity = len(domains)
     if not 0 <= max_arity <= len(domains):
@@ -82,7 +84,6 @@ def brute_force(M: MLPModel, T: ReferenceSet, objective: Objective,
     if size > budget:
         raise BudgetExceededError(size, budget)
 
-    kernel = SensitivityKernel(M, T)
     rank = objective.direction.rank
 
     def by_rank(best):
@@ -97,7 +98,7 @@ def brute_force(M: MLPModel, T: ReferenceSet, objective: Objective,
             # One batch per subset: every value row, in domain order.
             combos = list(product(*(domains[j] for j in subset)))
             rows = np.array(combos, dtype=np.float64).reshape(len(combos), arity)
-            values = objective.collapse_rows(kernel.lambdas(subset, rows))
+            values = objective.collapse_rows(cache.lambdas(subset, rows))
             evaluations += len(values)
             # The least rank over the whole batch, then keys only for the
             # rows that tie on it.
@@ -114,29 +115,30 @@ def brute_force(M: MLPModel, T: ReferenceSet, objective: Objective,
                           evaluations, trace)
 
 
-def sequential_dp(M: MLPModel, T: ReferenceSet, objective: Objective,
+def sequential_dp(cache: ScoreCache, objective: Objective,
                   feature_order=None) -> BaselineResult:
-    """Fix features one at a time, each at T's candidate value that
+    """Fix features one at a time, each at the cache's candidate value that
     best moves the mean prediction given everything already fixed. Always
     commits a value per feature, so interactions it never looked ahead to
-    are lost.
+    are lost. A step's candidates share one feature subset, so each step is
+    one `cache.lambdas` batch.
 
     Costs exactly sum of domain sizes plus one evaluation."""
-    domains = T.grid
+    domains = cache.reference.grid
     n = len(domains)
     if feature_order is None:
         feature_order = list(range(n))
     if sorted(feature_order) != list(range(n)):
         raise ConfigError("feature_order must be a permutation of all features")
 
-    kernel = SensitivityKernel(M, T)
     current = FeatureAssignment.empty()
-    value = objective.collapse(lambda_of(M, T, current))
+    value = objective.collapse(cache.lambdas((), np.empty((1, 0)))[0])
     evaluations = 1
     trace = [BaselineStage(0, current, value)]
     for step, j in enumerate(feature_order, start=1):
         cands = [current.extend(j, float(v)) for v in domains[j]]
-        lam, _ = kernel.score_assignments(cands, upsilon=False)
+        lam = cache.lambdas([i for i, _ in cands[0]],
+                            [[v for _, v in c] for c in cands])
         evaluations += len(cands)
         current, value = min(
             zip(cands, objective.collapse_rows(lam).tolist()),

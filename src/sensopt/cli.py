@@ -677,15 +677,18 @@ def _baseline_doc(result: BaselineResult, features) -> dict:
 
 def cmd_baseline(cfg: dict) -> int:
     # Brute force and the sequential greedy read no surrogate, whatever
-    # search.mode says.
+    # search.mode says. They rank lambda alone, which the cache does not
+    # keep, so they read the store and never write it.
     model, reference, features = _load_inputs(cfg, "baseline")
+    cache = ScoreCache(model, reference)
+    _load_scores(cfg, cache)
     objective = _objective(cfg)
     section = cfg["baseline"]
 
     report: dict = {}
     rows = []
     try:
-        brute = brute_force(model, reference, objective,
+        brute = brute_force(cache, objective,
                             max_arity=section["max_arity"],
                             budget=section["budget"])
         report["brute_force"] = _baseline_doc(brute, features)
@@ -697,7 +700,7 @@ def cmd_baseline(cfg: dict) -> int:
             "budget": e.budget,
         }
 
-    seq = sequential_dp(model, reference, objective)
+    seq = sequential_dp(cache, objective)
     report["sequential"] = _baseline_doc(seq, features)
     rows += _baseline_rows(seq, features)
 

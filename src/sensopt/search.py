@@ -16,7 +16,7 @@ import tempfile
 import zipfile
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,8 @@ import numpy as np
 from .data import format_assignment, write_table
 from .errors import ConfigError, ShapeError
 from .nn import MLPModel
-from .sensitivity import FeatureAssignment, ReferenceSet, SensitivityKernel
+from .sensitivity import (FeatureAssignment, ReferenceSet, SensitivityKernel,
+                          group_by_subset, kernel_batch)
 from .surrogate import predict_sensitivity
 
 
@@ -133,11 +134,19 @@ def lambda_of(M: MLPModel, T: ReferenceSet, a: FeatureAssignment) -> np.ndarray:
     return SensitivityKernel(M, T).score_assignments([a], upsilon=False)[0][0]
 
 
-# The members of a ScoreCache store, in order: the fingerprint, each key's
-# arity, the keys' feature indices and values end to end, then the lambda
-# and upsilon rows.
-STORE_ARRAYS = ("fingerprint", "arity", "features", "values", "lambda",
+# The members of a ScoreCache store, in order: the fingerprint, one row of
+# feature flags and a row count per subset, the subsets' value rows end to
+# end, and the lambda and upsilon rows.
+STORE_ARRAYS = ("fingerprint", "subsets", "rows", "values", "lambda",
                 "upsilon")
+
+
+def _keys(values: np.ndarray) -> list:
+    """Each row's raw float64 bytes, from one void view of the batch."""
+    if not values.shape[1]:
+        return [b""] * len(values)
+    return np.ascontiguousarray(values).view(
+        np.dtype((np.void, 8 * values.shape[1]))).ravel().tolist()
 
 
 class ScoreCache:
@@ -145,14 +154,17 @@ class ScoreCache:
     distinct assignment through one `SensitivityKernel`; upsilon comes from
     `surrogate` when one is given, else from the kernel.
 
-    The cache is where a search's model, reference (with its candidate
-    grid) and surrogate are given. Neither score depends on omega or the
-    objective, so every search over the same inputs can share one cache
-    and re-blend gamma from it. The reference's centred predictions and
-    variance are computed on the first oracle score, so a degenerate
-    reference raises there, and a cache with a surrogate never computes
-    them. By the kernel's contract a cached score has the bits a fresh one
-    would have, and so does one that `save` wrote and `load` read back.
+    The cache holds a search's model, reference (with its candidate grid)
+    and surrogate. Neither score depends on omega or the objective, so the
+    searches and baselines over the same inputs share one cache. Scores are
+    kept per feature subset, each value row under its raw float64 bytes.
+    `scores` takes the kernel's batch, sends it only the rows the cache
+    lacks and keeps them; `lambdas` reads the rows the cache holds and
+    scores the lambda of the rest without keeping it, so lambdas alone
+    never compute the reference variance (a degenerate reference raises at
+    the first oracle upsilon, and never with a surrogate). By the kernel's
+    contract a cached score, and one that `save` wrote and `load` read
+    back, has the bits a fresh one would have.
     """
 
     def __init__(self, model: MLPModel, reference: ReferenceSet,
@@ -172,24 +184,27 @@ class ScoreCache:
         self.reference = reference
         self.surrogate = surrogate
         self.kernel = SensitivityKernel(model, reference)
+        # feature subset -> {a value row's bytes: its (2, L) lambda, upsilon}
         self._scores: dict = {}
-        self.scored = 0  # assignments scored here, not read by `load`
+        self.scored = 0  # rows scored and kept here, not read by `load`
 
     def save(self, path, fingerprint: str):
-        """Write every score to `path` as one npz: `fingerprint`, each key's
-        arity, feature indices and values, and the lambda and upsilon rows.
-        Its zip entries carry no timestamp, so equal scores give equal
-        bytes, and it replaces `path` whole through a temporary file."""
+        """Write every score to `path` as one npz of the `STORE_ARRAYS`. Its
+        zip entries carry no timestamp, so equal scores give equal bytes,
+        and it replaces `path` whole through a temporary file."""
         if self.surrogate is not None:
             raise ValueError("a cache with a surrogate holds no oracle upsilon")
-        keys, scores = list(self._scores), list(self._scores.values())
-        lam, ups = ((np.stack(col) for col in zip(*scores)) if scores
-                    else [np.empty((0, self.model.n_outputs))] * 2)
-        arrays = (np.array(fingerprint),
-                  np.array([len(k) for k in keys], dtype=np.int64),
-                  np.array([j for k in keys for j, _ in k], dtype=np.int64),
-                  np.array([v for k in keys for _, v in k], dtype=np.float64),
-                  lam, ups)
+        flags = np.zeros((len(self._scores), self.reference.n_features),
+                         dtype=bool)
+        for row, subset in zip(flags, self._scores):
+            row[list(subset)] = True
+        held = self._scores.values()
+        scores = np.array([s for rows in held for s in rows.values()])
+        scores = scores.reshape(len(scores), 2, self.model.n_outputs)
+        arrays = (np.array(fingerprint), flags,
+                  np.array([len(rows) for rows in held], dtype=np.int64),
+                  np.frombuffer(b"".join(k for rows in held for k in rows)),
+                  scores[:, 0], scores[:, 1])
         path = Path(path)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
@@ -208,7 +223,7 @@ class ScoreCache:
         `fingerprint`; whether it did. A store that is missing, unreadable,
         inconsistent or written under another fingerprint is ignored, and so
         is every store when the cache has a surrogate, since a stored
-        upsilon is the kernel's."""
+        upsilon is the kernel's. A row the cache holds keeps its scores."""
         if self.surrogate is not None:
             return False
         try:
@@ -220,48 +235,95 @@ class ScoreCache:
                             member, allow_pickle=False))
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
             return False
-        stored_for, arity, features, values, lam, ups = arrays
-        rows = (arity.size, self.model.n_outputs)
+        stored_for, flags, counts, values, lam, ups = arrays
         if (stored_for.tolist() != fingerprint
-                or (arity.dtype, features.dtype, values.dtype, lam.dtype,
-                    ups.dtype) != (np.int64, np.int64, np.float64,
-                                   np.float64, np.float64)
-                or arity.ndim != 1 or (arity < 0).any()
-                or features.shape != values.shape
-                or features.shape != (arity.sum(),)
-                or lam.shape != rows or ups.shape != rows):
+                or (flags.dtype, counts.dtype, values.dtype, lam.dtype,
+                    ups.dtype) != (bool, np.int64, np.float64, np.float64,
+                                   np.float64)
+                or counts.ndim != 1 or (counts < 0).any()
+                or flags.shape != (counts.size, self.reference.n_features)
+                or values.shape != (counts @ flags.sum(axis=1),)
+                or lam.shape != (counts.sum(), self.model.n_outputs)
+                or ups.shape != lam.shape):
             return False
-        lam.flags.writeable = False
-        ups.flags.writeable = False
-        pairs = list(zip(features.tolist(), values.tolist()))
-        ends = list(accumulate(arity.tolist()))
-        for i, (start, end) in enumerate(zip([0, *ends], ends)):
-            self._scores.setdefault(tuple(pairs[start:end]), (lam[i], ups[i]))
+        scores = np.stack((lam, ups), axis=1)
+        scores.flags.writeable = False
+        start = first = 0
+        for row, n_rows in zip(flags, counts.tolist()):
+            subset = tuple(np.flatnonzero(row).tolist())
+            end = start + n_rows * len(subset)
+            keys = _keys(values[start:end].reshape(n_rows, len(subset)))
+            self._scores[subset] = {**dict(zip(keys, scores[first:])),
+                                    **self._scores.get(subset, {})}
+            start, first = end, first + n_rows
         return True
 
-    def lambda_upsilon(self, assignments: list) -> list:
-        """(lambda, upsilon) per label for each assignment, all read-only
-        arrays; the ones not seen before are scored in one kernel call."""
-        # Only assignments that passed validation are stored, and validity
-        # depends on the key alone, so a hit needs no second check.
-        misses = {}
-        for a in assignments:
-            if a.key not in self._scores:
-                misses.setdefault(a.key, a)
-        if misses:
-            todo = list(misses.values())
-            lam, ups = self.kernel.score_assignments(
-                todo, upsilon=self.surrogate is None)
-            if ups is None:
-                ups = np.array([predict_sensitivity(self.surrogate, a,
-                                                    self.reference)
-                                for a in todo])
-            lam.flags.writeable = False
-            ups.flags.writeable = False
-            self.scored += len(todo)
-            for i, key in enumerate(misses):
-                self._scores[key] = (lam[i], ups[i])
-        return [self._scores[a.key] for a in assignments]
+    def lambdas(self, subset, values) -> np.ndarray:
+        """(c, L) read-only lambda of the assignments fixing `subset`
+        (increasing feature indices) to each row of `values`."""
+        subset, values = kernel_batch(subset, values)
+        held = self._scores.get(subset, {})
+        keys = _keys(values)
+        hit = [key in held for key in keys]
+        lam = np.empty((len(keys), self.model.n_outputs))
+        if any(hit):
+            lam[hit] = [held[key][0] for key in compress(keys, hit)]
+        if not all(hit):
+            miss = np.logical_not(hit)
+            lam[miss] = self.kernel.lambdas(subset, values[miss])
+        lam.flags.writeable = False
+        return lam
+
+    def scores(self, subset, values) -> tuple:
+        """(lambda, upsilon), each (c, L) and read-only, for that batch."""
+        subset, values = kernel_batch(subset, values)
+        scores = np.array(self._fill(subset, values)).reshape(
+            len(values), 2, self.model.n_outputs)
+        scores.flags.writeable = False
+        return scores[:, 0], scores[:, 1]
+
+    def lambda_upsilon(self, assignments: list) -> np.ndarray:
+        """(c, 2, L) read-only: each assignment's lambda and upsilon rows,
+        from one `scores` batch per feature subset."""
+        rows = [None] * len(assignments)
+        for subset, (at, values) in group_by_subset(assignments).items():
+            held = self._fill(subset, values, [assignments[i] for i in at])
+            for i, row in zip(at, held):
+                rows[i] = row
+        out = np.array(rows).reshape(len(rows), 2, self.model.n_outputs)
+        out.flags.writeable = False
+        return out
+
+    def _fill(self, subset: tuple, values: np.ndarray,
+              assignments: list | None = None) -> list:
+        """Each row's read-only (2, L) lambda and upsilon in a
+        `kernel_batch`, once the rows the cache lacks are scored and kept;
+        `assignments`, when given, are the rows as the FeatureAssignments a
+        surrogate reads."""
+        # Only rows that passed the kernel's validation are stored, and
+        # validity depends on the row alone, so a hit needs no check.
+        keys = _keys(values)
+        held = self._scores.setdefault(subset, {})
+        # equal keys are equal rows, so one of each is scored
+        new = list({k: i for i, k in enumerate(keys)
+                    if k not in held}.values())
+        if new:
+            if self.surrogate is None:
+                lam, ups = self.kernel.scores(subset, values[new])
+            else:
+                lam = self.kernel.lambdas(subset, values[new])
+                if assignments is None:
+                    assignments = [FeatureAssignment(tuple(zip(subset, row)))
+                                   for row in values.tolist()]
+                ups = np.array([predict_sensitivity(
+                    self.surrogate, assignments[i], self.reference)
+                    for i in new]).reshape(lam.shape)
+            scores = np.concatenate((lam, ups), axis=1).reshape(
+                len(new), 2, -1)
+            scores.flags.writeable = False
+            held.update(zip([keys[i] for i in new], scores))
+            self.scored += len(new)
+        return [held[k] for k in keys]
 
 
 @dataclass
@@ -283,13 +345,11 @@ class Scorer:
         """One Candidate per assignment, in order; gamma is blended for the
         whole batch at once, with the bits `gamma_from` gives each row."""
         scores = self.cache.lambda_upsilon(assignments)
-        if not scores:
-            return []
-        lam, ups = (np.stack(arrays) for arrays in zip(*scores))
-        gammas = self.objective.collapse_rows(
-            gamma_per_label(lam, ups, self.config.omega, self.objective))
-        return [Candidate(a, gamma, *score)
-                for a, gamma, score in zip(assignments, gammas.tolist(), scores)]
+        lam, ups = scores[:, 0], scores[:, 1]
+        gammas = self.objective.collapse_rows(gamma_per_label(
+            lam, ups, self.config.omega, self.objective))
+        return [Candidate(*row) for row in zip(assignments, gammas.tolist(),
+                                               lam, ups)]
 
 
 def expand(beam: list, scorer: Scorer) -> list:

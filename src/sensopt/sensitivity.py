@@ -138,6 +138,31 @@ class ReferenceSet:
                          in zip(self.distinct_values, self.features.T)])
 
 
+def group_by_subset(assignments) -> dict:
+    """Feature subset -> (positions in `assignments`, (c, |J|) value rows)
+    of the assignments that fix it, subsets in order of first use."""
+    groups: dict = {}
+    for i, a in enumerate(assignments):
+        subset, values = zip(*a.pairs) if a.pairs else ((), ())
+        rows, batch = groups.setdefault(subset, ([], []))
+        rows.append(i)
+        batch.append(values)
+    return {subset: (rows, np.array(batch, dtype=np.float64)
+                     .reshape(len(rows), len(subset)))
+            for subset, (rows, batch) in groups.items()}
+
+
+def kernel_batch(subset, values) -> tuple:
+    """A kernel batch as it is scored and keyed: the subset as a tuple of
+    ints and the values as a (c, |J|) float64 array."""
+    subset = tuple(map(int, subset))
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != len(subset):
+        raise ShapeError(f"values of shape {values.shape} for "
+                         f"{len(subset)} fixed features")
+    return subset, values
+
+
 def _check_pair(T: ReferenceSet, j: int, v: float):
     """Index within T's width and value within 1e-12 of a domain entry."""
     n = T.n_features
@@ -297,15 +322,9 @@ class SensitivityKernel:
     def score_assignments(self, assignments, upsilon: bool = True) -> tuple:
         """(lambda, upsilon or None) rows in the order of `assignments`, one
         batch per feature subset."""
-        groups: dict = {}
-        for i, a in enumerate(assignments):
-            groups.setdefault(tuple(j for j, _ in a.key), []).append(i)
-        n_labels = self.model.n_outputs
-        lam = np.empty((len(assignments), n_labels))
+        lam = np.empty((len(assignments), self.model.n_outputs))
         ups = np.empty_like(lam) if upsilon else None
-        for subset, rows in groups.items():
-            values = np.array([[v for _, v in assignments[i].key] for i in rows],
-                              dtype=np.float64).reshape(len(rows), len(subset))
+        for subset, (rows, values) in group_by_subset(assignments).items():
             if upsilon:
                 lam[rows], ups[rows] = self.scores(subset, values)
             else:
@@ -314,11 +333,7 @@ class SensitivityKernel:
 
     def _lambda_cov(self, subset, values, ct) -> tuple:
         T = self.reference
-        subset = tuple(int(j) for j in subset)
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != len(subset):
-            raise ShapeError(f"values of shape {values.shape} for "
-                             f"{len(subset)} fixed features")
+        subset, values = kernel_batch(subset, values)
         _check_values(T, subset, values)
         k = T.features.shape[0]
         free = [j for j in range(T.n_features) if j not in subset]

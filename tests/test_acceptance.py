@@ -157,7 +157,7 @@ def test_search_recovers_planted_optimum_across_seeds():
         X, Y, domains, _ = scaled_synthetic(spec)
         model = fit_classifier(X, Y, [32], epochs=150, seed=seed)
         reference = ReferenceSet(X, domains=domains)
-        brute = brute_force(model, reference, MIN)
+        brute = brute_force(ScoreCache(model, reference), MIN)
         cfg = SearchConfig(omega=0.6, zeta=5)
         sn, _ = run_search(ScoreCache(model, reference), cfg, MIN)
         best = min(c.mean_lambda(MIN) for c in sn)
@@ -216,8 +216,8 @@ def test_interaction_model_defeats_greedy_but_not_search():
     domains = [np.array([0.0, 1.0])] * 2
     reference = ReferenceSet(corners, domains=domains)
 
-    greedy = sequential_dp(model, reference, MIN)
-    brute = brute_force(model, reference, MIN)
+    greedy = sequential_dp(ScoreCache(model, reference), MIN)
+    brute = brute_force(ScoreCache(model, reference), MIN)
     assert brute.best_objective == 0.0
     assert greedy.best_objective > brute.best_objective  # strictly worse
 

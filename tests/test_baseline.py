@@ -84,14 +84,14 @@ def test_brute_force_single_feature():
     M = linear_classifier([2.0], 0.0)
     domains = [np.array([-1.0, 0.0, 1.0])]
     T = domain_reference(domains, k=9, seed=1)
-    res = brute_force(M, T, MIN)
+    res = brute_force(ScoreCache(M, T), MIN)
     assert res.evaluations == 4  # empty plus the three values
     assert res.best_assignment.key == (((0, -1.0)),)
     want = forward(M, np.array([[-1.0]]))[0, 0]
     assert res.best_objective == want
     assert res.method == "brute_force"
 
-    res_max = brute_force(M, T, MAX)
+    res_max = brute_force(ScoreCache(M, T), MAX)
     assert res_max.best_assignment.key == ((0, 1.0),)
 
 
@@ -99,7 +99,7 @@ def test_brute_force_monotone_model_hits_known_corner():
     M = linear_classifier([2.0, -3.0, 1.0], 0.2)
     domains = [np.array([0.0, 1.0])] * 3
     T = domain_reference(domains, k=12, seed=2)
-    res = brute_force(M, T, MIN)
+    res = brute_force(ScoreCache(M, T), MIN)
     assert res.best_assignment.key == ((0, 0.0), (1, 1.0), (2, 0.0))
     want = forward(M, np.array([[0.0, 1.0, 0.0]]))[0, 0]
     assert res.best_objective == want
@@ -110,7 +110,7 @@ def test_brute_force_stage_trace_covers_every_arity():
     M = linear_classifier([1.0, -1.0], 0.0)
     domains = [np.array([0.0, 1.0])] * 2
     T = domain_reference(domains, k=8, seed=3)
-    res = brute_force(M, T, MIN)
+    res = brute_force(ScoreCache(M, T), MIN)
     assert [s.stage for s in res.stage_trace] == [0, 1, 2]
     values = [s.mean_lambda for s in res.stage_trace]
     assert values == sorted(values, reverse=True)  # deeper fixes only help here
@@ -121,17 +121,17 @@ def test_brute_force_arity_zero_and_budget():
     M = linear_classifier([1.0], 0.0)
     domains = [np.array([0.0, 1.0, 2.0])]
     T = domain_reference(domains, k=5, seed=4)
-    res = brute_force(M, T, MIN, max_arity=0)
+    res = brute_force(ScoreCache(M, T), MIN, max_arity=0)
     assert res.evaluations == 1
     assert res.best_assignment == FeatureAssignment.empty()
 
     with pytest.raises(BudgetExceededError) as err:
-        brute_force(M, T, MIN, budget=3)
+        brute_force(ScoreCache(M, T), MIN, budget=3)
     assert err.value.size == 4
     assert err.value.budget == 3
 
     with pytest.raises(ConfigError):
-        brute_force(M, T, MIN, max_arity=2)
+        brute_force(ScoreCache(M, T), MIN, max_arity=2)
 
 
 def test_sequential_matches_brute_force_when_separable():
@@ -140,8 +140,8 @@ def test_sequential_matches_brute_force_when_separable():
     M = linear_classifier([2.0, -3.0, 1.0], 0.2)
     domains = [np.array([0.0, 0.5, 1.0])] * 3
     T = domain_reference(domains, k=15, seed=5)
-    seq = sequential_dp(M, T, MIN)
-    brute = brute_force(M, T, MIN)
+    seq = sequential_dp(ScoreCache(M, T), MIN)
+    brute = brute_force(ScoreCache(M, T), MIN)
     assert seq.best_assignment == brute.best_assignment
     assert seq.best_objective == brute.best_objective
     assert seq.evaluations == 3 + 3 + 3 + 1
@@ -152,26 +152,26 @@ def test_sequential_trace_and_order_control():
     M = linear_classifier([1.0, -2.0], 0.0)
     domains = [np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0])]
     T = domain_reference(domains, k=10, seed=6)
-    res = sequential_dp(M, T, MIN)
+    res = sequential_dp(ScoreCache(M, T), MIN)
     assert [len(s.assignment) for s in res.stage_trace] == [0, 1, 2]
     assert res.evaluations == 2 + 3 + 1
 
-    rev = sequential_dp(M, T, MIN, feature_order=[1, 0])
+    rev = sequential_dp(ScoreCache(M, T), MIN, feature_order=[1, 0])
     assert rev.best_assignment.key == res.best_assignment.key  # separable
     assert [sorted(s.assignment.indices) for s in rev.stage_trace] == \
         [[], [1], [0, 1]]
 
     with pytest.raises(ConfigError):
-        sequential_dp(M, T, MIN, feature_order=[0, 0])
+        sequential_dp(ScoreCache(M, T), MIN, feature_order=[0, 0])
     with pytest.raises(ConfigError):
-        sequential_dp(M, T, MIN, feature_order=[0])
+        sequential_dp(ScoreCache(M, T), MIN, feature_order=[0])
 
 
 def test_sequential_misses_interaction_brute_force_does_not():
     M = xor_regressor()
     T = corners_reference()
-    seq = sequential_dp(M, T, MIN)
-    brute = brute_force(M, T, MIN)
+    seq = sequential_dp(ScoreCache(M, T), MIN)
+    brute = brute_force(ScoreCache(M, T), MIN)
     # greedy fixes x0=0 first (0.45 beats 0.5) and never reaches the (1,0)
     # corner where the prediction is exactly 0
     assert seq.best_assignment.key == ((0, 0.0), (1, 0.0))
@@ -186,8 +186,8 @@ def test_brute_force_lower_bounds_other_methods():
     domains = [np.array([0.0, 0.5, 1.0])] * 3
     T = domain_reference(domains, k=20, seed=8)
     M = build_model(3, 2, ModelKind.CLASSIFIER, [8], seed=9)
-    brute = brute_force(M, T, MIN)
-    seq = sequential_dp(M, T, MIN)
+    brute = brute_force(ScoreCache(M, T), MIN)
+    seq = sequential_dp(ScoreCache(M, T), MIN)
     assert brute.best_objective <= seq.best_objective
 
     cfg = SearchConfig(zeta=2)

@@ -536,7 +536,8 @@ def test_edited_reference_matrix_exits_3(tmp_path, capsys):
 
 STORE_OUTPUTS = {"optimize": ("trace.csv", "optimize_report.json",
                               "top_features.csv"),
-                 "sweep-omega": ("sweep_omega.csv",)}
+                 "sweep-omega": ("sweep_omega.csv",),
+                 "baseline": ("baseline_report.json", "baseline_trace.csv")}
 
 
 def store_workspace(tmp_path, **search):
@@ -567,8 +568,8 @@ def stale_store(path):
 def test_score_store_never_changes_outputs(tmp_path):
     p, store = store_workspace(tmp_path)
     out = store.parent
-    main(["optimize", "--config", str(p)])
-    main(["sweep-omega", "--config", str(p)])
+    for command in STORE_OUTPUTS:
+        main([command, "--config", str(p)])
     full = store.read_bytes()
 
     def run(command, state):
@@ -582,16 +583,24 @@ def test_score_store_never_changes_outputs(tmp_path):
             store.write_bytes(b"not a store\n" * 10)
         elif state == "truncated":
             store.write_bytes(full[:len(full) // 2])
+        before = store.read_bytes() if store.exists() else None
         assert main([command, "--config", str(p)]) == 0
         return ({name: (out / name).read_bytes()
-                 for name in STORE_OUTPUTS[command]}, store.read_bytes())
+                 for name in STORE_OUTPUTS[command]}, before,
+                store.read_bytes() if store.exists() else None)
 
     for command in STORE_OUTPUTS:
-        fresh, written = run(command, "absent")
-        assert run(command, "present") == (fresh, full), command
-        # an ignored store is overwritten by what the command scored
-        for state in ("stale", "corrupt", "truncated"):
-            assert run(command, state) == (fresh, written), (command, state)
+        fresh, _, written = run(command, "absent")
+        for state in ("absent", "present", "stale", "corrupt", "truncated"):
+            outputs, before, after = run(command, state)
+            assert outputs == fresh, (command, state)
+            if command == "baseline":
+                # it keeps no score it computed, so it writes no store
+                assert after == before, state
+            else:
+                # a store it read stays; an ignored one is overwritten by
+                # what the command scored
+                assert after == (full if state == "present" else written)
     assert sorted(p.name for p in out.iterdir()
                   if p.name.startswith(cli.SCORES_FILE)) == [cli.SCORES_FILE]
 
@@ -599,13 +608,13 @@ def test_score_store_never_changes_outputs(tmp_path):
 def test_sweep_after_optimize_scores_nothing(tmp_path, monkeypatch):
     p, store = store_workspace(tmp_path)
     scored = []
-    original = SensitivityKernel.score_assignments
+    original = SensitivityKernel.scores
 
-    def counted(self, assignments, upsilon=True):
-        scored.append(len(assignments))
-        return original(self, assignments, upsilon)
+    def counted(self, subset, values):
+        scored.append(len(values))
+        return original(self, subset, values)
 
-    monkeypatch.setattr(SensitivityKernel, "score_assignments", counted)
+    monkeypatch.setattr(SensitivityKernel, "scores", counted)
     omega = load_config(p)["search"]["omega"]
     sweep = ["sweep-omega", "--config", str(p)]
     assert main(["optimize", "--config", str(p)]) == 0
@@ -641,6 +650,51 @@ def test_sweep_after_optimize_scores_nothing(tmp_path, monkeypatch):
     assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
+def test_baseline_after_optimize_scores_no_brute_force_row(tmp_path,
+                                                          monkeypatch):
+    p, store = store_workspace(tmp_path)
+    config = json.loads(p.read_text())
+    config["baseline"] = {"max_arity": 1}
+    p.write_text(json.dumps(config))
+    sent, brute_force_rows = [], []
+
+    def counting(name):
+        original = getattr(SensitivityKernel, name)
+
+        def counted(self, subset, values):
+            sent.append(len(values))
+            return original(self, subset, values)
+        return counted
+
+    for name in ("lambdas", "scores"):
+        monkeypatch.setattr(SensitivityKernel, name, counting(name))
+    brute_force = cli.brute_force
+
+    def traced(*args, **kwargs):
+        before = sum(sent)
+        result = brute_force(*args, **kwargs)
+        brute_force_rows.append(sum(sent) - before)
+        return result
+
+    monkeypatch.setattr(cli, "brute_force", traced)
+    baseline = ["baseline", "--config", str(p)]
+    train_set, _, _, _ = prepare_data(load_config(p))
+    pairs = enumeration_size(train_set.value_domains, 1)
+
+    # without a store brute force scores every single pair and the empty
+    # assignment; after optimize, whose top-features scan scored them all,
+    # it scores none, and still counts every assignment it ranked
+    assert main(baseline) == 0
+    cold = json.loads((store.parent / "baseline_report.json").read_text())
+    assert not store.exists()  # lambdas alone are not kept
+    assert main(["optimize", "--config", str(p)]) == 0
+    assert main(baseline) == 0
+    warm = json.loads((store.parent / "baseline_report.json").read_text())
+    assert brute_force_rows == [pairs, 0]
+    assert warm == cold
+    assert warm["brute_force"]["evaluations"] == pairs
+
+
 def test_surrogate_search_leaves_the_store_alone(tmp_path):
     p, store = store_workspace(tmp_path)
     surrogate = ["optimize", "--mode", "surrogate", "--config", str(p)]
@@ -662,7 +716,9 @@ def test_degenerate_reference_exits_4(tmp_path):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(p)]) == 0
-    # every reference row is identical, so prediction variance is zero
+    # every reference row is identical, so prediction variance is zero;
+    # the baselines rank lambda alone and never compute it
+    assert main(["baseline", "--config", str(p)]) == 0
     assert main(["optimize", "--config", str(p)]) == 4
 
 

@@ -28,6 +28,7 @@ the later commands load equals `prepare_data`'s training split bit for bit.
 Examples are derandomized so the suite stays deterministic.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -171,7 +172,7 @@ def test_distillation_targets_equal_scorer_upsilon(problem, seed):
 @given(problems(), st.floats(0.0, 1.0), st.integers(1, 4))
 def test_brute_force_bounds_every_beam_candidate(problem, omega, zeta):
     model, reference, _ = problem
-    exact = brute_force(model, reference, MIN)
+    exact = brute_force(ScoreCache(model, reference), MIN)
     best_at = {s.stage: s.mean_lambda for s in exact.stage_trace}
     cfg = SearchConfig(omega=omega, zeta=zeta)
     sn, trace = run_search(ScoreCache(model, reference), cfg, MIN)
@@ -216,8 +217,13 @@ def test_baselines_pick_what_the_ranking_rule_picks(problem, objective, data):
     model = MLPModel([Layer(weights, first.biases, first.activation), *rest],
                      model.kind)
     grid = reference.grid
+    cache = ScoreCache(model, reference)
+    if data.draw(st.booleans(), label="search warms the cache"):
+        # a flat label has no upsilon, and the search then stores nothing
+        with contextlib.suppress(DegenerateReferenceError):
+            run_search(cache, SearchConfig(), objective)
 
-    exact = brute_force(model, reference, objective)
+    exact = brute_force(cache, objective)
     everything = list(enumerate_assignments(grid, len(grid)))
     for stage in exact.stage_trace:
         assert (stage.mean_lambda, stage.assignment.key) == ranked_best(
@@ -226,7 +232,7 @@ def test_baselines_pick_what_the_ranking_rule_picks(problem, objective, data):
     assert (exact.best_objective, exact.best_assignment.key) == ranked_best(
         model, reference, objective, everything)
 
-    greedy = sequential_dp(model, reference, objective)
+    greedy = sequential_dp(cache, objective)
     for before, stage in zip(greedy.stage_trace, greedy.stage_trace[1:]):
         j = stage.stage - 1
         assert (stage.mean_lambda, stage.assignment.key) == ranked_best(
@@ -452,15 +458,16 @@ def test_sweep_omega_file_equals_one_uncached_search_per_omega(tmp_path):
 
 
 class FixedRows:
-    """A kernel stand-in that returns the rows it was given, once."""
+    """A kernel stand-in that returns each assignment's given rows, once."""
 
-    def __init__(self, lam, ups):
-        self.rows = (lam, ups)
+    def __init__(self, assignments, lam, ups):
+        self.rows = {a.key: (lam[i], ups[i]) for i, a in enumerate(assignments)}
 
-    def score_assignments(self, assignments, upsilon=True):
-        rows, self.rows = self.rows, None
-        assert rows is not None, "scored twice"
-        return rows
+    def scores(self, subset, values):
+        rows = [self.rows.pop(tuple(zip(subset, row)), None)
+                for row in values.tolist()]
+        assert None not in rows, "scored twice"
+        return tuple(np.stack(column) for column in zip(*rows))
 
 
 BITS = st.integers(0, 2**64 - 1)
@@ -482,7 +489,7 @@ def test_score_store_round_trip_keeps_every_key_and_bit(config_dir, keys,
         min_size=len(keys), max_size=len(keys))), dtype=np.uint64)
         .reshape(len(keys), n_labels).view(np.float64) for _ in range(2))
     cache = ScoreCache(model, reference)
-    cache.kernel = FixedRows(lam, ups)
+    cache.kernel = FixedRows(keys, lam, ups)
     cache.lambda_upsilon(keys)
     path = config_dir / cli.SCORES_FILE
     cache.save(path, "a" * 64)

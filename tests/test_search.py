@@ -26,6 +26,7 @@ from sensopt.sensitivity import (
     clone_and_fix,
     sensitivity_from_predictions,
 )
+from sensopt.surrogate import predict_sensitivity
 
 MIN = Objective(Direction.MINIMIZE_LABELS)
 MAX = Objective(Direction.MAXIMIZE_LABELS)
@@ -325,10 +326,65 @@ def test_upsilon_comes_from_the_surrogate_exactly_when_one_is_given():
     assert np.array_equal(distilled.lambda_per_label, plain.lambda_per_label)
 
 
+def test_surrogate_upsilon_follows_each_row_of_a_partly_held_batch():
+    M, T = make_setup(n=3, seed=59)
+    ds = build_model(6, 2, ModelKind.REGRESSOR, [4], seed=60)
+    held = FeatureAssignment.of((0, 1.0), (2, 0.0))
+    batch = [FeatureAssignment.of((0, 0.0), (2, 1.0)), held,
+             FeatureAssignment.of((0, 1.0), (2, 1.0))]
+    caches = [ScoreCache(M, T, ds), ScoreCache(M, T, ds)]
+    for cache in caches:
+        cache.lambda_upsilon([held])
+    got = caches[0].lambda_upsilon(batch)
+    for row, a in zip(got, batch):
+        assert row[1].tobytes() == predict_sensitivity(ds, a, T).tobytes()
+    # `scores` takes value rows and builds the assignments the surrogate reads
+    _, ups = caches[1].scores((0, 2), [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    assert ups.tobytes() == got[:, 1].tobytes()
+
+
 def test_score_cache_refuses_a_surrogate_of_another_label_count():
     M, T = make_setup(n=3, labels=2, seed=47)
     with pytest.raises(ShapeError):
         ScoreCache(M, T, constant_regressor(6, 3))
+
+
+def test_lambdas_read_held_rows_and_keep_none(tmp_path):
+    M, T = make_setup(n=3, seed=53)
+    cache = ScoreCache(M, T)
+    kernel = cache.kernel
+    subset, values = (0, 2), np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+    lam = cache.lambdas(subset, values)
+    assert lam.tobytes() == kernel.lambdas(subset, values).tobytes()
+    with pytest.raises(ValueError):
+        lam[0, 0] = 0.0
+    assert cache.scored == 0  # lambdas alone keep nothing
+    # a row asked for lambda and later for upsilon gets the same lambda bits
+    held, _ = cache.scores(subset, values[:2])
+    assert held.tobytes() == lam[:2].tobytes()
+    assert cache.scored == 2
+    cache.save(tmp_path / "scores.npz", "f" * 64)
+    loaded = ScoreCache(M, T)
+    assert loaded.load(tmp_path / "scores.npz", "f" * 64)
+
+    sent = []
+
+    class Counted:
+        """The kernel's lambdas, recording each batch sent."""
+
+        def lambdas(self, subset, values):
+            sent.append(values.tolist())
+            return kernel.lambdas(subset, values)
+
+    # in memory and after a save and load, only the row no one asked
+    # upsilon for goes to the kernel, every time
+    batch = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    want = kernel.lambdas(subset, batch).tobytes()
+    for store in (cache, loaded, cache):
+        store.kernel = Counted()
+        assert store.lambdas(subset, batch).tobytes() == want
+    assert sent == [[[1.0, 0.0]]] * 3
+    assert (cache.scored, loaded.scored) == (2, 0)
 
 
 def test_format_assignment():
