@@ -58,6 +58,7 @@ from .search import (
     ScoreCache,
     SearchConfig,
     gamma_per_label,
+    gamma_rank_correlation,
     run_search,
     top_feature_report,
     write_trace_csv,
@@ -436,13 +437,21 @@ def cmd_distill(cfg: dict) -> int:
     out = _out_dir(cfg)
     save_surrogate(surrogate, out / SURROGATE_FILE, reference.n_features,
                    model_sha256=_artifact_sha256(cfg, MODEL_FILE))
+    train_lambda, train_upsilon = evaluate_surrogate(surrogate, head)
+    holdout_lambda, holdout_upsilon = evaluate_surrogate(surrogate, tail)
     write_json(out / DISTILL_REPORT_FILE, {
         "n_samples": dset.n_samples,
         "train_samples": head.n_samples,
         "holdout_samples": tail.n_samples,
         "final_train_loss": losses[-1],
-        "r_squared_train": evaluate_surrogate(surrogate, head),
-        "r_squared_holdout": evaluate_surrogate(surrogate, tail),
+        "r_squared_train": train_upsilon,
+        "r_squared_holdout": holdout_upsilon,
+        "r_squared_train_lambda": train_lambda,
+        "r_squared_holdout_lambda": holdout_lambda,
+        "gamma_rank_correlation_holdout": gamma_rank_correlation(
+            tail.assignments,
+            forward(surrogate, tail.inputs).reshape(-1, 2, tail.n_labels),
+            tail.scores, cfg["search"]["omega"], _objective(cfg)),
     })
     return 0
 

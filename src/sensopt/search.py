@@ -4,9 +4,10 @@ Candidates are scored by gamma = omega * (1 - lambda) + (1 - omega) * upsilon
 per label, averaged over the objective's labels (lambda is the mean predicted
 probability with the assignment enforced, upsilon the sensitivity score; the
 maximize direction uses lambda instead of 1 - lambda). Each stage extends
-every surviving assignment by one (feature, value) pair, then keeps the best
-`zeta`. Ties always break on the lexicographic assignment key, so runs are
-bit-for-bit reproducible.
+every surviving assignment by one (feature, value) pair, ranks the children
+by their predicted scores (a surrogate's, or the exact ones without one),
+keeps the best `zeta` and scores those exactly. Ties always break on the
+lexicographic assignment key, so runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import ConfigError, ShapeError
 from .nn import MLPModel
 from .sensitivity import (FeatureAssignment, ReferenceSet, SensitivityKernel,
                           group_by_subset, kernel_batch)
-from .surrogate import predict_sensitivity
+from .surrogate import predict_scores
 
 
 class Direction(Enum):
@@ -129,6 +130,38 @@ def gamma_from(lambda_per_label: np.ndarray, upsilon_per_label: np.ndarray,
                                               objective))
 
 
+def to_candidates(assignments: list, scores: np.ndarray, omega: float,
+                  objective: Objective) -> list:
+    """One Candidate per assignment from its (2, L) lambda and upsilon rows
+    in `scores`; gamma is blended for the whole batch at once, with the
+    bits `gamma_from` gives each row."""
+    lam, ups = scores[:, 0], scores[:, 1]
+    gammas = objective.collapse_rows(gamma_per_label(lam, ups, omega,
+                                                     objective))
+    return [Candidate(*row) for row in zip(assignments, gammas.tolist(),
+                                           lam, ups)]
+
+
+def gamma_rank_correlation(assignments: list, predicted: np.ndarray,
+                           exact: np.ndarray, omega: float,
+                           objective: Objective) -> float | None:
+    """Spearman's rho between the `Candidate.rank` orders that two (c, 2, L)
+    score arrays, predicted and exact, give `assignments`; None for fewer
+    than two assignments."""
+    n = len(assignments)
+    if n < 2:
+        return None
+    ranks = []
+    for scores in (predicted, exact):
+        ranked = to_candidates(assignments, scores, omega, objective)
+        order = sorted(range(n), key=lambda i: ranked[i].rank())
+        rank = np.empty(n)
+        rank[order] = np.arange(n)
+        ranks.append(rank)
+    d = ranks[0] - ranks[1]
+    return 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
+
+
 def lambda_of(M: MLPModel, T: ReferenceSet, a: FeatureAssignment) -> np.ndarray:
     """Per-label mean prediction over the reference set with `a` enforced."""
     return SensitivityKernel(M, T).score_assignments([a], upsilon=False)[0][0]
@@ -151,8 +184,9 @@ def _keys(values: np.ndarray) -> list:
 
 class ScoreCache:
     """Lambda and upsilon of one model on one reference, computed once per
-    distinct assignment through one `SensitivityKernel`; upsilon comes from
-    `surrogate` when one is given, else from the kernel.
+    distinct assignment through one `SensitivityKernel`. `predict` gives
+    the `surrogate`'s estimates of both, when one is given, and is never
+    kept; every other score is the kernel's.
 
     The cache holds a search's model, reference (with its candidate grid)
     and surrogate. Neither score depends on omega or the objective, so the
@@ -162,9 +196,9 @@ class ScoreCache:
     lacks and keeps them; `lambdas` reads the rows the cache holds and
     scores the lambda of the rest without keeping it, so lambdas alone
     never compute the reference variance (a degenerate reference raises at
-    the first oracle upsilon, and never with a surrogate). By the kernel's
-    contract a cached score, and one that `save` wrote and `load` read
-    back, has the bits a fresh one would have.
+    the first upsilon). By the kernel's contract a cached score, and one
+    that `save` wrote and `load` read back, has the bits a fresh one would
+    have.
     """
 
     def __init__(self, model: MLPModel, reference: ReferenceSet,
@@ -175,10 +209,11 @@ class ScoreCache:
                     f"surrogate input width {surrogate.n_inputs} does not "
                     f"match {reference.n_features} features"
                 )
-            if surrogate.n_outputs != model.n_outputs:
+            if surrogate.n_outputs != 2 * model.n_outputs:
                 raise ShapeError(
-                    f"surrogate predicts {surrogate.n_outputs} labels, "
-                    f"model {model.n_outputs}"
+                    f"surrogate gives {surrogate.n_outputs} outputs, not a "
+                    f"lambda and an upsilon for each of the model's "
+                    f"{model.n_outputs} labels"
                 )
         self.model = model
         self.reference = reference
@@ -192,8 +227,6 @@ class ScoreCache:
         """Write every score to `path` as one npz of the `STORE_ARRAYS`. Its
         zip entries carry no timestamp, so equal scores give equal bytes,
         and it replaces `path` whole through a temporary file."""
-        if self.surrogate is not None:
-            raise ValueError("a cache with a surrogate holds no oracle upsilon")
         flags = np.zeros((len(self._scores), self.reference.n_features),
                          dtype=bool)
         for row, subset in zip(flags, self._scores):
@@ -221,11 +254,8 @@ class ScoreCache:
     def load(self, path, fingerprint: str) -> bool:
         """Add the scores `save` wrote to `path` under the same
         `fingerprint`; whether it did. A store that is missing, unreadable,
-        inconsistent or written under another fingerprint is ignored, and so
-        is every store when the cache has a surrogate, since a stored
-        upsilon is the kernel's. A row the cache holds keeps its scores."""
-        if self.surrogate is not None:
-            return False
+        inconsistent or written under another fingerprint is ignored. A row
+        the cache holds keeps its scores."""
         try:
             with zipfile.ZipFile(path) as store:
                 arrays = []
@@ -287,19 +317,27 @@ class ScoreCache:
         from one `scores` batch per feature subset."""
         rows = [None] * len(assignments)
         for subset, (at, values) in group_by_subset(assignments).items():
-            held = self._fill(subset, values, [assignments[i] for i in at])
+            held = self._fill(subset, values)
             for i, row in zip(at, held):
                 rows[i] = row
         out = np.array(rows).reshape(len(rows), 2, self.model.n_outputs)
         out.flags.writeable = False
         return out
 
-    def _fill(self, subset: tuple, values: np.ndarray,
-              assignments: list | None = None) -> list:
+    def predict(self, assignments: list) -> np.ndarray:
+        """(c, 2, L) read-only: each assignment's predicted lambda and
+        upsilon rows. With a surrogate they are its estimates, from one
+        encoded batch and one forward pass, and are not kept; without one
+        they are `lambda_upsilon`'s exact rows."""
+        if self.surrogate is None:
+            return self.lambda_upsilon(assignments)
+        out = predict_scores(self.surrogate, assignments, self.reference)
+        out.flags.writeable = False
+        return out
+
+    def _fill(self, subset: tuple, values: np.ndarray) -> list:
         """Each row's read-only (2, L) lambda and upsilon in a
-        `kernel_batch`, once the rows the cache lacks are scored and kept;
-        `assignments`, when given, are the rows as the FeatureAssignments a
-        surrogate reads."""
+        `kernel_batch`, once the rows the cache lacks are scored and kept."""
         # Only rows that passed the kernel's validation are stored, and
         # validity depends on the row alone, so a hit needs no check.
         keys = _keys(values)
@@ -308,16 +346,7 @@ class ScoreCache:
         new = list({k: i for i, k in enumerate(keys)
                     if k not in held}.values())
         if new:
-            if self.surrogate is None:
-                lam, ups = self.kernel.scores(subset, values[new])
-            else:
-                lam = self.kernel.lambdas(subset, values[new])
-                if assignments is None:
-                    assignments = [FeatureAssignment(tuple(zip(subset, row)))
-                                   for row in values.tolist()]
-                ups = np.array([predict_sensitivity(
-                    self.surrogate, assignments[i], self.reference)
-                    for i in new]).reshape(lam.shape)
+            lam, ups = self.kernel.scores(subset, values[new])
             scores = np.concatenate((lam, ups), axis=1).reshape(
                 len(new), 2, -1)
             scores.flags.writeable = False
@@ -329,9 +358,10 @@ class ScoreCache:
 @dataclass
 class Scorer:
     """Turns assignments into Candidates: lambda and upsilon come from
-    `cache` (so from its surrogate, when it has one), gamma from `config`'s
-    omega and `objective`. Scorers with any omega or objective may share
-    one cache.
+    `cache`, exact in `score` and `score_all` and predicted (by its
+    surrogate, when it has one) in `predict_all`; gamma comes from
+    `config`'s omega and `objective`. Scorers with any omega or objective
+    may share one cache.
     """
 
     cache: ScoreCache
@@ -342,18 +372,25 @@ class Scorer:
         return self.score_all([assignment])[0]
 
     def score_all(self, assignments: list) -> list:
-        """One Candidate per assignment, in order; gamma is blended for the
-        whole batch at once, with the bits `gamma_from` gives each row."""
-        scores = self.cache.lambda_upsilon(assignments)
-        lam, ups = scores[:, 0], scores[:, 1]
-        gammas = self.objective.collapse_rows(gamma_per_label(
-            lam, ups, self.config.omega, self.objective))
-        return [Candidate(*row) for row in zip(assignments, gammas.tolist(),
-                                               lam, ups)]
+        """One exactly scored Candidate per assignment, in order."""
+        return to_candidates(assignments,
+                             self.cache.lambda_upsilon(assignments),
+                             self.config.omega, self.objective)
+
+    def predict_all(self, assignments: list) -> list:
+        """One Candidate per assignment, in order, from `cache.predict`."""
+        return to_candidates(assignments, self.cache.predict(assignments),
+                             self.config.omega, self.objective)
+
+    def rescore(self, candidates: list) -> list:
+        """`candidates` scored exactly and sorted by `Candidate.rank`."""
+        return sorted(self.score_all([c.assignment for c in candidates]),
+                      key=Candidate.rank)
 
 
 def expand(beam: list, scorer: Scorer) -> list:
-    """Every one-pair extension of every beam member, scored. No dedup here:
+    """Every one-pair extension of every beam member, with predicted scores
+    (`Scorer.predict_all`), so exact without a surrogate. No dedup here:
     the same assignment reached through different parents appears once per
     parent; prune collapses them. Fully-assigned members contribute nothing.
     The values tried are the reference's candidate grid.
@@ -370,7 +407,7 @@ def expand(beam: list, scorer: Scorer) -> list:
                 continue
             for v in domain:
                 children.append(cand.assignment.extend(j, float(v)))
-    return scorer.score_all(children)
+    return scorer.predict_all(children)
 
 
 def prune(candidates: list, zeta: int) -> list:
@@ -390,7 +427,7 @@ def prune(candidates: list, zeta: int) -> list:
 class StageRecord:
     stage: int
     candidates: list
-    best_gamma: float  # running maximum over every candidate scored so far
+    best_gamma: float  # running maximum over every exact candidate so far
     best_mean_lambda: float  # direction-best mean lambda within this stage
 
 
@@ -401,9 +438,12 @@ def _stage_best_lambda(candidates: list, objective: Objective) -> float:
 
 def run_search(cache: ScoreCache, config: SearchConfig, objective: Objective):
     """Beam search from the empty assignment over `cache`'s model, reference
-    and surrogate. Returns (SN, stages): SN is the final beam plus the
-    best candidate seen at any stage, and stages one StageRecord per depth
-    from 0. A shared `cache` reuses the scores of earlier searches."""
+    and surrogate. Each stage ranks `expand`'s children by their predicted
+    scores, keeps the best `zeta` and scores only those exactly, so a
+    surrogate shapes the path alone: every Candidate returned is exact.
+    Returns (SN, stages): SN is the final beam plus the best candidate seen
+    at any stage, and stages one StageRecord per depth from 0. A shared
+    `cache` reuses the scores of earlier searches."""
     n_features = cache.reference.n_features
     config.validate(n_features)
     scorer = Scorer(cache, config, objective)
@@ -414,10 +454,9 @@ def run_search(cache: ScoreCache, config: SearchConfig, objective: Objective):
     stages = [StageRecord(0, beam, best.gamma,
                           _stage_best_lambda(beam, objective))]
     for depth in range(1, config.depth(n_features) + 1):
-        scored = expand(beam, scorer)
+        beam = scorer.rescore(prune(expand(beam, scorer), config.zeta))
         # The incumbent comes first, so a tie keeps it.
-        best = min([best, *scored], key=Candidate.rank)
-        beam = prune(scored, config.zeta)
+        best = min([best, *beam], key=Candidate.rank)
         stages.append(StageRecord(depth, beam, best.gamma,
                                   _stage_best_lambda(beam, objective)))
 
@@ -430,8 +469,10 @@ def run_search(cache: ScoreCache, config: SearchConfig, objective: Objective):
 def top_feature_report(cache: ScoreCache, config: SearchConfig,
                        objective: Objective, k: int):
     """Rank every single-pair assignment of the reference's candidate grid
-    (the empty assignment's `expand`) by `Candidate.rank`. Returns (the
-    empty assignment's Candidate, the k best single-pair Candidates).
+    (the empty assignment's `expand`) by `Candidate.rank` of its predicted
+    scores, then score the k best exactly and rank them again. Returns (the
+    empty assignment's Candidate, those k single-pair Candidates), all
+    exact.
 
     A pair whose gamma is below the empty one's scores below the do-nothing
     baseline. A `cache` shared with run_search makes every pair a lookup."""
@@ -440,7 +481,8 @@ def top_feature_report(cache: ScoreCache, config: SearchConfig,
     config.validate(cache.reference.n_features)
     scorer = Scorer(cache, config, objective)
     empty = scorer.score(FeatureAssignment.empty())
-    return empty, sorted(expand([empty], scorer), key=Candidate.rank)[:k]
+    return empty, scorer.rescore(
+        sorted(expand([empty], scorer), key=Candidate.rank)[:k])
 
 
 def write_trace_csv(stages: list, path, objective: Objective, features: list):

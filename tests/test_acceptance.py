@@ -200,7 +200,7 @@ def test_distilled_surrogate_tracks_oracle_on_holdout():
         head, TrainConfig(epochs=300, loss=LossKind.MSE, hidden_dims=[64, 32],
                           seed=8)
     )
-    r2 = evaluate_surrogate(surrogate, tail)
+    _, r2 = evaluate_surrogate(surrogate, tail)
     assert r2 >= 0.8, r2
 
 

@@ -18,7 +18,14 @@ from sensopt.cli import (
 )
 from sensopt.data import SyntheticSpec, generate_synthetic, save_csv
 from sensopt.errors import ConfigError
+from sensopt.nn import forward
 from sensopt.sensitivity import SensitivityKernel
+from sensopt.surrogate import (
+    build_distillation_set,
+    load_surrogate,
+    r_squared,
+    split_holdout,
+)
 
 
 def read_csv_rows(path):
@@ -174,6 +181,34 @@ def test_rerun_is_byte_identical(workspace):
     assert main(["optimize", "--config", str(cfg_path)]) == 0
     for n in names:
         assert (out / n).read_bytes() == before[n], n
+
+
+def test_distill_report_scores_lambda_and_the_gamma_ranking(workspace):
+    root, cfg_path = workspace
+    out = root / "out"
+    report = json.loads((out / "distill_report.json").read_text())
+    model, reference, _ = cli._load_inputs(load_config(cfg_path))
+    dset = build_distillation_set(model, reference, n_samples=200,
+                                  seed=derive_seed(11, "distill-sample"))
+    head, tail = split_holdout(dset, 0.2)
+    surrogate, _ = load_surrogate(out / "surrogate.json")
+    for part, name in ((head, "train"), (tail, "holdout")):
+        predicted = forward(surrogate, part.inputs).reshape(-1, 2, 2)
+        assert report[f"r_squared_{name}"] == r_squared(predicted[:, 1],
+                                                        part.targets)
+        assert report[f"r_squared_{name}_lambda"] == r_squared(
+            predicted[:, 0], part.lambdas)
+
+    # Spearman's rho of the holdout's gamma ranks at omega 0.6, minimizing
+    def ranks(scores):
+        gamma = (0.6 * (1.0 - scores[:, 0]) + 0.4 * scores[:, 1]).mean(axis=1)
+        order = sorted(range(len(gamma)),
+                       key=lambda i: (-gamma[i], tail.assignments[i].key))
+        return np.argsort(order)
+    d = ranks(predicted) - ranks(tail.scores)
+    n = tail.n_samples
+    assert report["gamma_rank_correlation_holdout"] == pytest.approx(
+        1.0 - 6.0 * float(d @ d) / (n * (n * n - 1)), abs=1e-12)
 
 
 def test_surrogate_mode_flag(workspace):
@@ -706,6 +741,42 @@ def test_surrogate_search_leaves_the_store_alone(tmp_path):
     assert main(surrogate) == 0
     assert main(["sweep-omega", "--mode", "surrogate", "--config", str(p)]) == 0
     assert store.read_bytes() == written
+
+
+def test_surrogate_search_scores_only_what_it_reports(tmp_path, monkeypatch):
+    # kernel rows in one surrogate optimize: the empty assignment (and the
+    # reference variance), zeta survivors per stage and the top_k singles,
+    # of which the first stage's survivors are already held
+    p, _ = store_workspace(tmp_path, top_k=3)
+    assert main(["distill", "--config", str(p)]) == 0
+    rows = []
+    lambda_cov = SensitivityKernel._lambda_cov
+
+    def counted(kernel, subset, values, ct):
+        rows.append(len(values))
+        return lambda_cov(kernel, subset, values, ct)
+    monkeypatch.setattr(SensitivityKernel, "_lambda_cov", counted)
+    assert main(["optimize", "--mode", "surrogate", "--config", str(p)]) == 0
+    zeta, depth, top_k = 2, 3, 3
+    assert 0 < sum(rows) <= 1 + zeta * depth + top_k
+
+
+def test_surrogate_of_encoding_version_1_exits_3(tmp_path, capsys):
+    # a version-1 surrogate predicts upsilon alone: L outputs, not 2L
+    p, _ = store_workspace(tmp_path)
+    assert main(["distill", "--config", str(p)]) == 0
+    path = tmp_path / "out" / "surrogate.json"
+    doc = json.loads(path.read_text())
+    last = doc["layers"][-1]
+    last["output_dim"] = 2
+    last["weights"] = [row[2:] for row in last["weights"]]
+    last["biases"] = last["biases"][2:]
+    doc["meta"]["encoding_version"] = 1
+    path.write_text(json.dumps(doc))
+    assert main(["optimize", "--mode", "surrogate", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "surrogate.json" in err and "rerun distill" in err
+    assert "Traceback" not in err
 
 
 def test_degenerate_reference_exits_4(tmp_path):

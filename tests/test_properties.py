@@ -4,7 +4,9 @@
 distillation labelling all score through `SensitivityKernel`, whose bits
 depend on the assignment alone, never on the batch it is scored in, so
 their numbers must match bit for bit; so must a Scorer whose score cache
-was filled by another search and a fresh one. The kernel agrees with the
+was filled by another search and a fresh one. A search, top-features
+report and sweep steered by a random surrogate report only scores
+bit-equal to an oracle cache's. The kernel agrees with the
 naive clone-and-forward oracle to 1e-12 and keeps the exact boundary
 scores. Brute force and the sequential greedy pick what the ranking rule
 picks over assignments scored one at a time, exact ties included.
@@ -93,6 +95,7 @@ from sensopt.search import (
     gamma_from,
     lambda_of,
     run_search,
+    top_feature_report,
 )
 from sensopt.sensitivity import (
     CHUNK_ROW_FLOOR,
@@ -178,6 +181,40 @@ def test_brute_force_bounds_every_beam_candidate(problem, omega, zeta):
     sn, trace = run_search(ScoreCache(model, reference), cfg, MIN)
     for c in sn + [c for stage in trace for c in stage.candidates]:
         assert best_at[len(c.assignment)] <= c.mean_lambda(MIN)
+
+
+@PROPERTY
+@given(problems(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       st.sampled_from([MIN, MAX]), st.integers(1, 3), st.integers(1, 4),
+       st.data())
+def test_surrogate_search_reports_only_exact_scores(problem, omegas, objective,
+                                                    zeta, k, data):
+    model, reference, _ = problem
+    n, labels = reference.n_features, model.n_outputs
+    surrogate = build_model(
+        2 * n, 2 * labels, ModelKind.REGRESSOR,
+        data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)),
+        seed=data.draw(st.integers(0, 2**16)))
+    cache = ScoreCache(model, reference, surrogate)
+    oracle = ScoreCache(model, reference)
+
+    def assert_exact(candidates, omega):
+        for c in candidates:
+            (lam, ups), = oracle.lambda_upsilon([c.assignment])
+            assert c.lambda_per_label.tobytes() == lam.tobytes()
+            assert c.upsilon_per_label.tobytes() == ups.tobytes()
+            assert c.gamma == gamma_from(lam, ups, omega, objective)
+
+    cfg = SearchConfig(omega=omegas[0], zeta=zeta)
+    sn, stages = run_search(cache, cfg, objective)
+    assert_exact(sn + [c for stage in stages for c in stage.candidates],
+                 cfg.omega)
+    empty, best = top_feature_report(cache, cfg, objective, k)
+    assert_exact([empty, *best], cfg.omega)
+    # a sweep: one search per omega over the one surrogate cache
+    for omega in omegas:
+        sn, _ = run_search(cache, replace(cfg, omega=omega), objective)
+        assert_exact(sn, omega)
 
 
 @PROPERTY

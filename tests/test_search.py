@@ -3,7 +3,7 @@ import pytest
 
 from sensopt.baseline import exhaustive_gamma_by_depth
 from sensopt.data import FeatureKind, FeatureMeta, format_assignment
-from sensopt.errors import ConfigError, ShapeError
+from sensopt.errors import ConfigError, DegenerateReferenceError, ShapeError
 from sensopt.nn import Activation, Layer, MLPModel, ModelKind, build_model, forward
 from sensopt.search import (
     Candidate,
@@ -14,6 +14,7 @@ from sensopt.search import (
     SearchConfig,
     expand,
     gamma_from,
+    gamma_rank_correlation,
     lambda_of,
     prune,
     run_search,
@@ -26,7 +27,7 @@ from sensopt.sensitivity import (
     clone_and_fix,
     sensitivity_from_predictions,
 )
-from sensopt.surrogate import predict_sensitivity
+from sensopt.surrogate import encode, predict_sensitivity
 
 MIN = Objective(Direction.MINIMIZE_LABELS)
 MAX = Objective(Direction.MAXIMIZE_LABELS)
@@ -286,28 +287,39 @@ def test_top_feature_report_matches_scan():
 
 
 def test_top_feature_report_dead_model_equal_contributions():
-    # constant classifier and constant surrogate: every pair scores the same
+    # constant classifier and constant surrogate: every pair is predicted
+    # the same, and the exact report refuses the flat reference
     n = 3
     T = ReferenceSet(np.random.default_rng(2).normal(size=(12, n)),
                      domains=[np.array([0.0, 1.0])] * n)
     M = constant_classifier(n, 2)
-    ds = constant_regressor(2 * n, 2, value=0.0)
+    ds = constant_regressor(2 * n, 4, value=0.0)
     cfg = SearchConfig()
-    empty, report = top_feature_report(ScoreCache(M, T, ds), cfg, MIN, k=50)
-    deltas = np.array([c.gamma - empty.gamma for c in report])
-    assert np.all(np.abs(deltas) <= 1e-9)
+    cache = ScoreCache(M, T, ds)
+    predicted = Scorer(cache, cfg, MIN).predict_all(
+        [FeatureAssignment.of((j, v)) for j in range(n) for v in (0.0, 1.0)])
+    assert len({c.gamma for c in predicted}) == 1
+    with pytest.raises(DegenerateReferenceError):
+        top_feature_report(cache, cfg, MIN, k=50)
 
 
 def test_surrogate_mode_uses_surrogate_scores():
+    # the surrogate predicts lambda and upsilon; scores stay the kernel's
     n = 3
     M, T = make_setup(n=n, seed=43)
-    ds = constant_regressor(2 * n, 2, value=0.25)
+    ds = constant_regressor(2 * n, 4, value=0.25)
     cfg = SearchConfig(omega=0.6)
-    c = Scorer(ScoreCache(M, T, ds), cfg, MIN).score(
-        FeatureAssignment.of((0, 1.0)))
+    a = FeatureAssignment.of((0, 1.0))
+    scorer = Scorer(ScoreCache(M, T, ds), cfg, MIN)
+    c, = scorer.predict_all([a])
+    assert np.all(c.lambda_per_label == 0.25)
     assert np.all(c.upsilon_per_label == 0.25)
-    want = gamma_from(c.lambda_per_label, np.full(2, 0.25), 0.6, MIN)
-    assert c.gamma == want
+    assert c.gamma == gamma_from(np.full(2, 0.25), np.full(2, 0.25), 0.6, MIN)
+    exact = Scorer(ScoreCache(M, T), cfg, MIN).score(a)
+    got = scorer.score(a)
+    assert got.gamma == exact.gamma
+    assert got.lambda_per_label.tobytes() == exact.lambda_per_label.tobytes()
+    assert got.upsilon_per_label.tobytes() == exact.upsilon_per_label.tobytes()
 
 
 def test_upsilon_comes_from_the_surrogate_exactly_when_one_is_given():
@@ -316,37 +328,63 @@ def test_upsilon_comes_from_the_surrogate_exactly_when_one_is_given():
     cfg = SearchConfig()
     oracle = sensitivity_from_predictions(forward(M, clone_and_fix(T, a)),
                                           forward(M, T.features))
-    plain = Scorer(ScoreCache(M, T), cfg, MIN).score(a)
+    plain, = Scorer(ScoreCache(M, T), cfg, MIN).predict_all([a])
     assert np.all(np.abs(plain.upsilon_per_label - oracle) <= 1e-12)
-    ds = constant_regressor(6, 2, value=0.25)
-    distilled = Scorer(ScoreCache(M, T, ds), cfg, MIN).score(a)
-    assert np.array_equal(distilled.upsilon_per_label, np.full(2, 0.25))
+    ds = constant_regressor(6, 4, value=0.25)
+    distilled = Scorer(ScoreCache(M, T, ds), cfg, MIN)
+    predicted, = distilled.predict_all([a])
+    assert np.array_equal(predicted.upsilon_per_label, np.full(2, 0.25))
+    assert np.array_equal(predicted.lambda_per_label, np.full(2, 0.25))
     assert not np.array_equal(oracle, np.full(2, 0.25))
-    # lambda is the classifier's either way
-    assert np.array_equal(distilled.lambda_per_label, plain.lambda_per_label)
+    # an exact score is the kernel's either way
+    exact = distilled.score(a)
+    assert np.array_equal(exact.upsilon_per_label, plain.upsilon_per_label)
+    assert np.array_equal(exact.lambda_per_label, plain.lambda_per_label)
 
 
 def test_surrogate_upsilon_follows_each_row_of_a_partly_held_batch():
     M, T = make_setup(n=3, seed=59)
-    ds = build_model(6, 2, ModelKind.REGRESSOR, [4], seed=60)
+    ds = build_model(6, 4, ModelKind.REGRESSOR, [4], seed=60)
     held = FeatureAssignment.of((0, 1.0), (2, 0.0))
     batch = [FeatureAssignment.of((0, 0.0), (2, 1.0)), held,
              FeatureAssignment.of((0, 1.0), (2, 1.0))]
-    caches = [ScoreCache(M, T, ds), ScoreCache(M, T, ds)]
-    for cache in caches:
-        cache.lambda_upsilon([held])
-    got = caches[0].lambda_upsilon(batch)
+    cache = ScoreCache(M, T, ds)
+    exact = cache.lambda_upsilon([held])[0]
+    # one forward over the rows `encode` gives; a held row is predicted too
+    got = cache.predict(batch)
+    want = forward(ds, np.stack([encode(a, T) for a in batch]))
+    assert got.tobytes() == want.tobytes()
+    assert got[1].tobytes() != exact.tobytes()
     for row, a in zip(got, batch):
-        assert row[1].tobytes() == predict_sensitivity(ds, a, T).tobytes()
-    # `scores` takes value rows and builds the assignments the surrogate reads
-    _, ups = caches[1].scores((0, 2), [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    assert ups.tobytes() == got[:, 1].tobytes()
+        assert np.allclose(row[1], predict_sensitivity(ds, a, T),
+                           rtol=0.0, atol=1e-12)
+    # `scores` and `lambda_upsilon` are the kernel's, surrogate or not
+    lam, ups = cache.scores((0, 2), [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    oracle = ScoreCache(M, T).lambda_upsilon(batch)
+    assert lam.tobytes() == oracle[:, 0].tobytes()
+    assert ups.tobytes() == oracle[:, 1].tobytes()
 
 
 def test_score_cache_refuses_a_surrogate_of_another_label_count():
+    # a surrogate gives a lambda and an upsilon per label: 2L outputs
     M, T = make_setup(n=3, labels=2, seed=47)
-    with pytest.raises(ShapeError):
-        ScoreCache(M, T, constant_regressor(6, 3))
+    for width in (2, 3, 5):
+        with pytest.raises(ShapeError):
+            ScoreCache(M, T, constant_regressor(6, width))
+    assert ScoreCache(M, T, constant_regressor(6, 4)).surrogate.n_outputs == 4
+
+
+def test_gamma_rank_correlation_reads_the_candidate_rank_order():
+    batch = [FeatureAssignment.of((0, v)) for v in (0.0, 0.5, 1.0, 2.0)]
+    exact = np.zeros((4, 2, 1))
+    exact[:, 1, 0] = [0.1, 0.2, 0.3, 0.4]  # gamma rises down the list
+    assert gamma_rank_correlation(batch, exact, exact, 0.5, MIN) == 1.0
+    assert gamma_rank_correlation(batch, exact[::-1], exact, 0.5, MIN) == -1.0
+    # equal gammas rank by key, so a flat prediction ranks in key order
+    flat = np.zeros_like(exact)
+    assert gamma_rank_correlation(batch, flat, exact, 0.5, MIN) == -1.0
+    assert gamma_rank_correlation(batch[:1], exact[:1], exact[:1], 0.5,
+                                  MIN) is None
 
 
 def test_lambdas_read_held_rows_and_keep_none(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sensopt.errors import ConfigError, DataError, ShapeError
+from sensopt.errors import ConfigError, DataError, DomainError, ShapeError
 from sensopt.nn import (
     LossKind,
     ModelKind,
@@ -9,18 +9,22 @@ from sensopt.nn import (
     build_model,
     forward,
     save_model,
+    train,
 )
 from sensopt.sensitivity import (
     FeatureAssignment,
     ReferenceSet,
+    SensitivityKernel,
     clone_and_fix,
     sensitivity_from_predictions,
 )
 from sensopt.surrogate import (
     build_distillation_set,
     encode,
+    encode_all,
     evaluate_surrogate,
     load_surrogate,
+    predict_scores,
     predict_sensitivity,
     r_squared,
     save_surrogate,
@@ -89,6 +93,78 @@ def test_distillation_targets_replay_from_oracle():
         assert np.all(np.abs(dset.targets[i] - want) <= 1e-12)
 
 
+def distillation_per_sample(model, reference, n_samples, max_arity, seed):
+    """The sampler drawn one sample at a time, each encoded and checked on
+    its own: (inputs, upsilon targets, assignments)."""
+    domains = reference.grid
+    rng = np.random.default_rng(seed)
+    inputs = np.zeros((n_samples, 2 * reference.n_features))
+    assignments = []
+    for s in range(n_samples):
+        arity = int(rng.integers(1, max_arity + 1))
+        subset = rng.choice(reference.n_features, size=arity, replace=False)
+        pairs = []
+        for j in subset:
+            domain = domains[int(j)]
+            pairs.append((int(j), float(domain[rng.integers(len(domain))])))
+        a = FeatureAssignment(tuple(pairs))
+        assignments.append(a)
+        inputs[s] = encode(a, reference)
+    _, targets = SensitivityKernel(model, reference).score_assignments(
+        assignments)
+    return inputs, targets, tuple(assignments)
+
+
+@pytest.mark.parametrize("n,values,max_arity,seed", [
+    (4, 3, 3, 0), (4, 3, 4, 11), (1, 2, 1, 5), (6, 4, 5, 23)])
+def test_distillation_equals_the_per_sample_loop(n, values, max_arity, seed):
+    T = make_reference(seed=seed, n=n, values=values)
+    M = make_classifier(n=n, seed=seed + 1)
+    dset = build_distillation_set(M, T, n_samples=50, max_arity=max_arity,
+                                  seed=seed)
+    inputs, targets, assignments = distillation_per_sample(
+        M, T, 50, max_arity, seed)
+    assert dset.inputs.tobytes() == inputs.tobytes()
+    assert dset.targets.tobytes() == targets.tobytes()
+    assert dset.assignments == assignments
+    lambdas, _ = SensitivityKernel(M, T).score_assignments(assignments)
+    assert dset.lambdas.tobytes() == lambdas.tobytes()
+    assert dset.scores.shape == (50, 2, 2)
+
+
+def test_encode_all_equals_encode_per_row():
+    T = make_reference(seed=8)
+    batch = [FeatureAssignment.of((1, 0.5)), FeatureAssignment.empty(),
+             FeatureAssignment.of((0, 1.0), (3, 0.0)),
+             FeatureAssignment.of((1, 0.0))]
+    want = np.stack([encode(a, T) for a in batch])
+    assert encode_all(batch, T).tobytes() == want.tobytes()
+    with pytest.raises(DomainError):
+        encode_all([FeatureAssignment.of((2, 0.25))], T)
+
+
+def test_trained_surrogate_predicts_lambda_then_upsilon():
+    # the net is fitted to each column standardized, lambda then upsilon,
+    # and the scaling is folded into its output layer
+    T = make_reference(seed=2)
+    M = make_classifier(seed=3)
+    dset = build_distillation_set(M, T, n_samples=40, max_arity=2, seed=1)
+    cfg = TrainConfig(epochs=5, batch_size=8, seed=0, loss=LossKind.MSE,
+                      hidden_dims=[8, 4])
+    surrogate, losses = train_surrogate(dset, cfg)
+    Y = np.hstack((dset.lambdas, dset.targets))
+    mean, scale = Y.mean(axis=0), Y.std(axis=0)
+    net, want_losses = train(
+        build_model(8, 4, ModelKind.REGRESSOR, [8, 4], seed=0), dset.inputs,
+        (Y - mean) / scale, cfg)
+    assert losses == want_losses
+    want = forward(net, dset.inputs) * scale + mean
+    assert np.allclose(forward(surrogate, dset.inputs), want, rtol=0.0,
+                       atol=1e-12)
+    predicted = predict_scores(surrogate, list(dset.assignments), T)
+    assert predicted.tobytes() == forward(surrogate, dset.inputs).tobytes()
+
+
 def test_distillation_deterministic_given_seed():
     T = make_reference(seed=1)
     M = make_classifier(seed=4)
@@ -142,6 +218,8 @@ def test_train_surrogate_fits_constant_targets():
     T = make_reference(seed=2)
     M = make_classifier(seed=3)
     dset = build_distillation_set(M, T, n_samples=40, max_arity=2, seed=1)
+    # the surrogate fits lambda and upsilon, so both are held constant
+    dset.lambdas[:] = 0.37
     dset.targets[:] = 0.37
     cfg = TrainConfig(learning_rate=0.05, epochs=500, batch_size=8, seed=0,
                       loss=LossKind.MSE, hidden_dims=[8, 4])
@@ -200,18 +278,18 @@ def test_surrogate_save_load_round_trip(tmp_path):
     loaded, meta = load_surrogate(path)
     assert meta["n_features"] == 4
     assert meta["n_labels"] == 2
-    assert meta["encoding_version"] == 1
+    assert meta["encoding_version"] == 2
     assert evaluate_surrogate(loaded, dset) == evaluate_surrogate(surrogate, dset)
 
 
 @pytest.mark.parametrize("meta", [
-    {"n_labels": 2, "encoding_version": 1},  # n_features missing
-    {"n_features": 3, "n_labels": 2, "encoding_version": 1},  # width is 8
-    {"n_features": 4, "n_labels": 3, "encoding_version": 1},  # 2 outputs
+    {"n_labels": 2, "encoding_version": 2},  # n_features missing
+    {"n_features": 3, "n_labels": 2, "encoding_version": 2},  # width is 8
+    {"n_features": 4, "n_labels": 3, "encoding_version": 2},  # 4 outputs
 ])
 def test_surrogate_load_rejects_bad_meta_as_data_error(tmp_path, meta):
     path = tmp_path / "ds.json"
-    save_model(build_model(8, 2, ModelKind.REGRESSOR, [4, 4], seed=0), path,
+    save_model(build_model(8, 4, ModelKind.REGRESSOR, [4, 4], seed=0), path,
                meta=meta)
     with pytest.raises(DataError) as err:
         load_surrogate(path)
@@ -228,8 +306,8 @@ def test_surrogate_load_rejects_newer_encoding(tmp_path):
     model = build_model(8, 2, ModelKind.REGRESSOR, [4, 4], seed=0)
     path = tmp_path / "ds.json"
     save_surrogate(model, path, n_features=4)
-    text = path.read_text().replace('"encoding_version": 1',
-                                    '"encoding_version": 2')
+    text = path.read_text().replace('"encoding_version": 2',
+                                    '"encoding_version": 3')
     path.write_text(text)
     with pytest.raises(ConfigError):
         load_surrogate(path)
